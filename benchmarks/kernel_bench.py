@@ -1,22 +1,21 @@
 """Kernel micro-benchmark: pack_vectors wall-clock trajectory.
 
-Times the optimized ``pack_vectors`` kernel (batched numpy shelf packer
-above the cutover, lazy heap below it, cached vector stats, incremental
-site loads) and the retained naive reference kernel
-(``pack_vectors_reference``: full allowable-list rescan with loads
-recomputed from the placed clones) on the grid
+Times the optimized ``pack_vectors`` kernel (lazy site heap, cached
+vector stats, incremental site loads) and the retained naive reference
+kernel (``pack_vectors_reference``: full allowable-list rescan with
+loads recomputed from the placed clones) on the grid
 
     n ∈ {100, 1000, 5000} clones × p ∈ {8, 64} sites, d = 3,
 
-plus two headline cases introduced with the batched-kernel refactor:
+plus three headline cases:
 
 * the **scale point** ``n=10000, p=1000`` — the paper's problem sizes
   times ten, timed warm (one untimed warm-up rep first) through the
-  batched shelf packer;
+  shelf packer;
 * the **heterogeneous scale point** — the same ``n=10000, p=1000``
   problem over three site classes (``fast:200:4.0`` / ``std:600:1.0``
-  / ``slow:200:0.5``), exercising the capacity-normalized argmin of
-  the batched kernel; the PR 9 target is a warm pack under 150 ms;
+  / ``slow:200:0.5``), exercising the capacity-normalized heap key;
+  the target is a warm pack under 150 ms;
 * the **reschedule case** at ``n=1000, p=64`` — repairing a 3-site
   failure via :func:`repro.core.reschedule.reschedule_schedule` on a
   fresh copy per rep (the copy is taken outside the timed region)
@@ -76,7 +75,7 @@ SIZES = (100, 1000, 5000)
 SITE_COUNTS = (8, 64)
 #: The guard point of the CI perf-smoke check.
 GUARD_POINT = "n=1000,p=64"
-#: The batched-kernel scale target: 10^4 clones over 10^3 sites, warm.
+#: The scale target: 10^4 clones over 10^3 sites, warm.
 SCALE_POINT = "n=10000,p=1000"
 SCALE_N, SCALE_P = 10_000, 1_000
 #: The heterogeneous scale target: same size over three site classes.
@@ -165,7 +164,7 @@ def run_grid(include_reference: bool = True) -> dict[str, dict[str, float]]:
 def run_scale(reps: int = 5) -> dict[str, float]:
     """Time the warm scale point (one untimed warm-up rep first).
 
-    The warm-up pays numpy initialization and fills allocator pools so
+    The warm-up fills allocator pools and warms the caches so
     the recorded medians reflect steady-state shelf packing, which is
     what the "<0.1 s at n=10^4, p=10^3" target is stated against.
     """

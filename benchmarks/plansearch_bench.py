@@ -3,7 +3,7 @@
 Measures the two perf claims of the schedule-aware plan searcher on a
 fixed 8-relation tree query (plan space 429, exhaustively enumerated):
 
-* **prune** — the batched lower-bound screen orders candidates by bound
+* **prune** — the lower-bound screen orders candidates by bound
   and schedules them in fixed chunks against an incumbent, so only a
   small fraction of the space is ever TREESCHEDULE-scored.  The guard
   compares against the serial exhaustive scorer (``prune=False``) on

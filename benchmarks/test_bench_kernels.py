@@ -9,7 +9,7 @@ the optimization is sold on:
   baseline at the guard point (n=1000, p=64, d=3);
 * heap placement and incremental loads change nothing about the output —
   the packing is byte-identical to the naive reference kernel;
-* the batched shelf packer clears the scale point (n=10^4 clones over
+* the shelf packer clears the scale point (n=10^4 clones over
   p=10^3 sites) warm in well under a second;
 * repairing a 3-site failure via incremental rescheduling beats a cold
   re-pack by at least 4x at the guard point's size.
@@ -74,7 +74,7 @@ def test_bench_kernels_trajectory(benchmark):
     assert guard["pre_pr2_s"] == PRE_PR2_SECONDS[GUARD_POINT]
     # Acceptance criterion of PR 2: >= 3x on the guard point.
     assert guard["speedup_vs_pre_pr2"] >= 3.0
-    # Acceptance criteria of the batched-kernel refactor.  Both bounds
+    # Scale-point and repair acceptance bounds.  Both bounds
     # are far looser than typical measurements (~0.08 s and ~10-14x) to
     # absorb CI noise while still catching order-of-magnitude breaks.
     assert scale["optimized_s"] < 1.0

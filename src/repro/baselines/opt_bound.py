@@ -50,9 +50,9 @@ from repro.core.cloning import (
     parallel_time,
     response_optimal_degree,
 )
-from repro.core.batch import sum_length
 from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import OverlapModel
+from repro.core.work_vector import vector_sum
 from repro.engine.registry import ScheduleRequest, register
 from repro.engine.result import ScheduleResult
 from repro.plans.generator import GeneratedQuery
@@ -85,9 +85,7 @@ def congestion_bound(
         raise SchedulingError(
             f"total capacity must be positive, got {total_capacity!r}"
         )
-    # Batch kernel: numpy column-sum for wide plans, exact sequential sum
-    # below the cutover (repro.core.batch.NUMPY_CUTOVER).
-    return sum_length([spec.work for spec in specs]) / denom
+    return vector_sum(spec.work for spec in specs).length() / denom
 
 
 def _degree_ceiling(

@@ -12,15 +12,6 @@ The phase-based TREESCHEDULE algorithm (Section 5.4) lives in
 depends on the plan substrate; import it via :mod:`repro` or directly.
 """
 
-from repro.core.batch import (
-    HAVE_NUMPY,
-    eq3_makespans_over_epsilon,
-    family_congestions,
-    lower_bounds_batch,
-    pack_least_loaded_batch,
-    set_length_batch,
-    sum_length,
-)
 from repro.core.bounds import (
     BoundCertificate,
     certify,
@@ -158,14 +149,6 @@ __all__ = [
     "slowest_operator_time",
     "theorem51_fixed_degree_bound",
     "theorem51_coarse_grain_bound",
-    # batch (numpy-gated fast paths)
-    "HAVE_NUMPY",
-    "sum_length",
-    "set_length_batch",
-    "lower_bounds_batch",
-    "eq3_makespans_over_epsilon",
-    "pack_least_loaded_batch",
-    "family_congestions",
     # malleable
     "ParallelizationCandidate",
     "CandidateFamily",

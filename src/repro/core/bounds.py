@@ -25,7 +25,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.exceptions import SchedulingError
-from repro.core.batch import lower_bounds_batch, sum_length
 from repro.core.cloning import (
     DEFAULT_COORDINATOR_POLICY,
     CoordinatorPolicy,
@@ -35,6 +34,7 @@ from repro.core.cloning import (
 )
 from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import OverlapModel
+from repro.core.work_vector import vector_sum
 
 __all__ = [
     "theorem51_fixed_degree_bound",
@@ -129,9 +129,7 @@ def lower_bound(
     totals = [
         total_work_vector(spec, degrees[spec.name], comm, policy) for spec in specs
     ]
-    # sum_length auto-selects the numpy reduction for large operator sets
-    # and the exact sequential sum below the cutover.
-    congestion = sum_length(totals) / denom
+    congestion = vector_sum(totals).length() / denom
     return max(congestion, slowest_operator_time(specs, degrees, comm, overlap, policy))
 
 
@@ -147,26 +145,19 @@ def lower_bound_family(
 ) -> list[float]:
     """Return ``LB(N̄_k)`` for a whole family of parallelizations.
 
-    Batch counterpart of :func:`lower_bound` for sweeps that score many
+    Family form of :func:`lower_bound` for sweeps that score many
     candidate parallelizations of the *same* operator set (e.g. the
-    Section 7 greedy family, or a sensitivity grid over degrees): the
-    congestion sides are evaluated in one vectorized pass via
-    :func:`repro.core.batch.lower_bounds_batch` when numpy is available.
+    Section 7 greedy family, or a sensitivity grid over degrees); entry
+    ``k`` equals ``lower_bound(specs, degree_family[k], ...)``.
     ``total_capacity`` generalizes the congestion denominator exactly as
     in :func:`lower_bound`.
     """
-    if not specs:
-        return [0.0 for _ in degree_family]
-    d = specs[0].d
-    groups = [
-        [total_work_vector(spec, degrees[spec.name], comm, policy) for spec in specs]
+    return [
+        lower_bound(
+            specs, degrees, p, comm, overlap, policy, total_capacity=total_capacity
+        )
         for degrees in degree_family
     ]
-    h_values = [
-        slowest_operator_time(specs, degrees, comm, overlap, policy)
-        for degrees in degree_family
-    ]
-    return lower_bounds_batch(groups, h_values, p, d, total_capacity=total_capacity)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.exceptions import SchedulingError
-from repro.core import batch as _batch
 from repro.core.bounds import theorem51_fixed_degree_bound
 from repro.core.cloning import (
     DEFAULT_COORDINATOR_POLICY,
@@ -268,14 +267,12 @@ def enumerate_candidate_family(
     *,
     total_capacity: float | None = None,
 ) -> CandidateFamily:
-    """Enumerate the entire greedy family as one batched pass.
+    """Enumerate the entire greedy family in one pass.
 
     Runs the same max-heap walk as :func:`candidate_parallelizations`
     (identical ``parallel_time`` calls, identical ``(-t, name)``
-    tie-breaking) but records only the per-step increment and ``h``; the
-    congestion curve is evaluated for *all* members at once by
-    :func:`repro.core.batch.family_congestions`, which reproduces the
-    incremental ``load += delta`` fold of the generator bit for bit.
+    tie-breaking and the same sequential ``load += delta`` congestion
+    fold) but records only the per-step increment, ``h`` and congestion.
     The result is byte-identical to collecting the generator (golden
     tests), at O(M + K) rather than O(M·K) cost for a K-member family.
     """
@@ -285,25 +282,33 @@ def enumerate_candidate_family(
         return CandidateFamily(
             operators=(), increments=(), h_values=(), congestions=(), p=p
         )
+    denom = float(p) if total_capacity is None else float(total_capacity)
+    if not denom > 0.0:
+        raise SchedulingError(
+            f"total capacity must be positive, got {total_capacity!r}"
+        )
     d = specs[0].d
     by_name = {spec.name: spec for spec in specs}
     if len(by_name) != len(specs):
         raise SchedulingError("duplicate operator names in malleable problem")
     degrees = {spec.name: 1 for spec in specs}
 
-    load0 = [0.0] * d
+    load = [0.0] * d
     heap: list[tuple[float, str]] = []
     for spec in specs:
         t = parallel_time(spec, 1, comm, overlap, policy)
         heapq.heappush(heap, (-t, spec.name))
         for i, c in enumerate(total_work_vector(spec, 1, comm, policy).components):
-            load0[i] += c
+            load[i] += c
 
+    startup_delta = policy.startup_vector(d, comm.startup_cost(1)).components
     h_values: list[float] = []
+    congestions: list[float] = []
     increments: list[str] = []
     while True:
         neg_h, slowest = heap[0]
         h_values.append(-neg_h)
+        congestions.append(max(load) / denom)
         if degrees[slowest] >= p:
             break
         heapq.heappop(heap)
@@ -312,12 +317,9 @@ def enumerate_candidate_family(
         spec = by_name[slowest]
         t = parallel_time(spec, degrees[slowest], comm, overlap, policy)
         heapq.heappush(heap, (-t, slowest))
+        for i, c in enumerate(startup_delta):
+            load[i] += c
 
-    steps = len(increments)
-    startup_delta = policy.startup_vector(d, comm.startup_cost(1)).components
-    congestions = _batch.family_congestions(
-        load0, startup_delta, steps, p, total_capacity=total_capacity
-    )
     return CandidateFamily(
         operators=tuple(spec.name for spec in specs),
         increments=tuple(increments),

@@ -86,16 +86,6 @@ class OverlapModel(ABC):
         """Return the full ``(T_seq, W̄)`` usage pair for ``work``."""
         return ResourceUsage(t_seq=self.t_seq(work), work=work)
 
-    def t_seq_batch(self, works: "list[WorkVector]") -> list[float]:
-        """Vectorization hook: ``T_seq`` for many work vectors at once.
-
-        The default simply loops :meth:`t_seq`.  Overrides (used by the
-        batched shelf packer) must stay **bit-identical** to the scalar
-        method for every input — callers rely on that for golden-packing
-        determinism.
-        """
-        return [self.t_seq(w) for w in works]
-
 
 @dataclass(frozen=True)
 class ConvexCombinationOverlap(OverlapModel):
@@ -121,26 +111,6 @@ class ConvexCombinationOverlap(OverlapModel):
     def _t_seq_unchecked(self, work: WorkVector) -> float:
         eps = self.epsilon
         return eps * work.length() + (1.0 - eps) * work.total()
-
-    def t_seq_batch(self, works: "list[WorkVector]") -> list[float]:
-        """Vectorized EA2 evaluation, bit-identical to :meth:`t_seq`.
-
-        ``eps·l + (1-eps)·total`` element-wise in float64 performs the
-        exact same IEEE multiply/multiply/add sequence as the scalar
-        method, so results match bit for bit (the lengths/totals are the
-        vectors' cached exact statistics).  Validation is skipped: the
-        convex combination satisfies ``l(W) <= T <= sum(W)`` by
-        construction for ``eps in [0, 1]``.
-        """
-        from repro.core import batch as _batch  # deferred: avoids an import cycle
-
-        if not (_batch.HAVE_NUMPY and len(works) >= _batch.NUMPY_CUTOVER):
-            return [self.t_seq(w) for w in works]
-        np = _batch._np
-        eps = self.epsilon
-        lens = np.fromiter((w.length() for w in works), dtype=np.float64, count=len(works))
-        tots = np.fromiter((w.total() for w in works), dtype=np.float64, count=len(works))
-        return (eps * lens + (1.0 - eps) * tots).tolist()
 
 
 #: Perfect overlap (``epsilon = 1``): ``T(W) = max_i W[i]`` (Figure 2a).

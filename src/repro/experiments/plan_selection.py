@@ -28,11 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np
-except ImportError:  # numpy is an optional extra; plan sampling needs it
-    np = None  # type: ignore[assignment]
-
 from repro.exceptions import ConfigurationError
 from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import OverlapModel
@@ -171,10 +166,12 @@ def select_best_plan(
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
-    if np is None:
+    try:  # numpy is an optional extra; only drawing plans needs it
+        import numpy as np
+    except ImportError:
         raise ConfigurationError(
             "plan sampling needs numpy; install the 'repro[numpy]' extra"
-        )
+        ) from None
     rng = np.random.default_rng(seed)
     rec = MetricsRecorder()
     runner_rec = MetricsRecorder()

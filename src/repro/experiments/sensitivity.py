@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.exceptions import ConfigurationError
-from repro.core.batch import eq3_makespans_over_epsilon
+from repro.core.resource_model import ConvexCombinationOverlap
 from repro.core.schedule import PhasedSchedule, Schedule
 from repro.cost.params import SystemParameters
 from repro.experiments.config import ExperimentConfig, PAPER_CONFIG
@@ -131,10 +131,11 @@ def overlap_robustness(
     at each ``epsilon``: this sweep keeps the clone-to-site mapping fixed
     and asks how its Equation (3) response time degrades when the EA2
     overlap calibration was wrong — the placement-robustness side of the
-    sensitivity analysis.  Evaluation goes through the batch kernel
-    :func:`repro.core.batch.eq3_makespans_over_epsilon` (one vectorized
-    pass over all epsilons when numpy is available), so it is cheap
-    enough to run per sweep point.
+    sensitivity analysis.  Each site is rebuilt with
+    :meth:`~repro.core.site.Site.recompute_t_seq` under
+    ``ConvexCombinationOverlap(eps)``; the phase makespan is the largest
+    capacity-scaled :meth:`~repro.core.site.Site.t_site`, exactly as
+    :meth:`Schedule.makespan` evaluates it.
     """
     if not epsilons:
         raise ConfigurationError("overlap_robustness requires at least one epsilon")
@@ -143,18 +144,28 @@ def overlap_robustness(
         if isinstance(schedule, PhasedSchedule)
         else [schedule]
     )
-    per_phase = [eq3_makespans_over_epsilon(phase, epsilons) for phase in phases]
-    ys = tuple(
-        sum(spans[k] for spans in per_phase) for k in range(len(epsilons))
-    )
+    ys = []
+    for eps in epsilons:
+        overlap = ConvexCombinationOverlap(eps)
+        ys.append(
+            sum(
+                max(
+                    (site.recompute_t_seq(overlap).t_site() for site in phase.sites),
+                    default=0.0,
+                )
+                for phase in phases
+            )
+        )
     return FigureData(
         figure_id="sens-overlap-fixed",
         title="Fixed-placement response time vs overlap parameter",
         x_label="overlap parameter epsilon",
         y_label="response time (s)",
-        series=(Series(label="fixed placement", xs=tuple(map(float, epsilons)), ys=ys),),
+        series=(
+            Series(label="fixed placement", xs=tuple(map(float, epsilons)), ys=tuple(ys)),
+        ),
         notes=(
             "Placement held constant; only the EA2 stand-alone clone "
-            "times are re-derived per epsilon (Equation 3 batch kernel).",
+            "times are re-derived per epsilon (Equation 3).",
         ),
     )

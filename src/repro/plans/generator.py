@@ -11,11 +11,7 @@ workloads are exactly reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np
-except ImportError:  # numpy is an optional extra; workload drawing needs it
-    np = None  # type: ignore[assignment]
+from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
 from repro.plans.join_tree import PlanNode, random_bushy_plan
@@ -23,6 +19,9 @@ from repro.plans.operator_tree import OperatorTree, expand_plan
 from repro.plans.query_graph import QueryGraph, random_tree_query
 from repro.plans.relations import Catalog, random_catalog
 from repro.plans.task_tree import TaskTree, build_task_tree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["GeneratedQuery", "generate_query", "generate_workload"]
 
@@ -126,10 +125,12 @@ def generate_workload(
     """
     if n_queries < 1:
         raise ConfigurationError(f"n_queries must be >= 1, got {n_queries}")
-    if np is None:
+    try:  # numpy is an optional extra; only drawing workloads needs it
+        import numpy as np
+    except ImportError:
         raise ConfigurationError(
             "workload generation needs numpy; install the 'repro[numpy]' extra"
-        )
+        ) from None
     rng = np.random.default_rng(seed)
     return [
         generate_query(

@@ -17,17 +17,16 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import networkx as nx
-
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np  # noqa: F401 - annotations only
-except ImportError:  # numpy is optional; rng parameters are duck-typed
-    np = None  # type: ignore[assignment]
 
 from repro.exceptions import PlanStructureError
 from repro.plans.query_graph import QueryGraph
 from repro.plans.relations import Catalog, Relation
+
+if TYPE_CHECKING:  # numpy is optional; rng parameters are duck-typed
+    import numpy as np
 
 __all__ = [
     "JoinMethod",

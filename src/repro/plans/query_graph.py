@@ -10,16 +10,15 @@ relation set is equally likely).
 from __future__ import annotations
 
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 import networkx as nx
 
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np  # noqa: F401 - annotations only
-except ImportError:  # numpy is optional; rng parameters are duck-typed
-    np = None  # type: ignore[assignment]
-
 from repro.exceptions import PlanStructureError
 from repro.plans.relations import Catalog
+
+if TYPE_CHECKING:  # numpy is optional; rng parameters are duck-typed
+    import numpy as np
 
 __all__ = ["QueryGraph", "random_tree_query"]
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np  # noqa: F401 - annotations only
-except ImportError:  # numpy is optional; rng parameters are duck-typed
-    np = None  # type: ignore[assignment]
+from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError, PlanStructureError
+
+if TYPE_CHECKING:  # numpy is optional; rng parameters are duck-typed
+    import numpy as np
 
 __all__ = ["Relation", "Catalog", "random_catalog"]
 

@@ -1,4 +1,4 @@
-"""Batched candidate lower bounds: prune plans before scheduling them.
+"""Candidate lower bounds: prune plans before scheduling them.
 
 For each candidate plan the screen computes a *valid* lower bound on its
 TREESCHEDULE response time from two sides, mirroring the Section 7 bound
@@ -9,10 +9,8 @@ TREESCHEDULE response time from two sides, mirroring the Section 7 bound
   (:func:`~repro.core.cloning.total_work_vector`), so summing the
   ``n = 1`` vectors over all operators under-estimates the work any
   actual parallelization must push through the ``P`` sites.  The
-  ``l(S)/P`` side is evaluated for all candidates in one call to
-  :func:`repro.core.batch.lower_bounds_batch` — the numpy reduction
-  above ``NUMPY_CUTOVER``, the exact pure-Python fold below it (and
-  always, when numpy is absent).
+  ``l(S)/P`` side is the length of the componentwise sum of those
+  vectors, folded left to right like :func:`repro.core.bounds.lower_bound`.
 
 * **Critical path.**  The response time is the sum of synchronized phase
   makespans; an operator's phase lasts at least
@@ -35,7 +33,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.core.batch import lower_bounds_batch
 from repro.core.cloning import (
     DEFAULT_COORDINATOR_POLICY,
     CoordinatorPolicy,
@@ -44,6 +41,7 @@ from repro.core.cloning import (
 )
 from repro.core.granularity import CommunicationModel
 from repro.core.resource_model import OverlapModel
+from repro.core.work_vector import vector_sum
 from repro.cost.annotate import compute_operator_spec
 from repro.cost.params import SystemParameters
 from repro.plans.join_tree import PlanNode
@@ -131,34 +129,25 @@ def candidate_lower_bounds(
     """A valid response-time lower bound per candidate plan.
 
     Expands and cost-annotates each candidate (detached — the plan trees
-    are not modified), then combines the batched congestion side with
+    are not modified), then combines the congestion side with
     the per-candidate critical-path side.  Bounds are deterministic
     functions of the plan structure and the context, independent of
     worker count and store state.
     """
-    if not plans:
-        return []
-    groups = []
-    h_values = []
-    d = None
+    denom = float(ctx.p) if ctx.total_capacity is None else ctx.total_capacity
+    bounds = []
     for plan in plans:
         op_tree = expand_plan(plan)
         specs = {
             op.name: compute_operator_spec(op, op_tree, ctx.params)
             for op in op_tree.operators
         }
-        totals = [
+        congestion = vector_sum(
             total_work_vector(spec, 1, ctx.comm, ctx.policy)
             for spec in specs.values()
-        ]
-        if d is None:
-            d = totals[0].d
-        groups.append(totals)
+        ).length() / denom
         h = _critical_path(op_tree, specs, ctx)
         if ctx.max_capacity is not None:
             h /= ctx.max_capacity
-        h_values.append(h)
-    assert d is not None
-    return lower_bounds_batch(
-        groups, h_values, ctx.p, d, total_capacity=ctx.total_capacity
-    )
+        bounds.append(max(congestion, h))
+    return bounds

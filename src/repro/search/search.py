@@ -12,8 +12,8 @@ search whose scoring function is the scheduled response time:
    (:func:`~repro.search.canonical.plan_key`) before anything is
    scheduled.
 3. **Screen** (``plan_screen`` span).  Every pending candidate gets a
-   valid response-time lower bound from the batched screen
-   (:mod:`repro.search.screen` / ``lower_bounds_batch``); candidates
+   valid response-time lower bound from the screen
+   (:mod:`repro.search.screen`); candidates
    whose bound exceeds the incumbent's exact score are pruned without
    ever being scheduled.
 4. **Score** (``plan_score`` spans).  Survivors are scheduled in

@@ -15,6 +15,7 @@ from repro import (
     WorkVector,
     certify,
     lower_bound,
+    lower_bound_family,
     parallel_time,
     slowest_operator_time,
     theorem51_coarse_grain_bound,
@@ -101,6 +102,25 @@ class TestLowerBound:
     def test_bad_p(self):
         with pytest.raises(SchedulingError):
             lower_bound([], {}, 0, COMM, OVERLAP)
+
+    def test_family_matches_lower_bound_per_member(self):
+        comm = CommunicationModel(alpha=1.0, beta=0.01)
+        specs = [
+            spec(f"op{i}", 1.0 + 7.0 * i, 40.0 - 6.0 * i, data=10.0 + 30.0 * i)
+            for i in range(6)
+        ]
+        family = [
+            {s.name: 1 for s in specs},
+            {s.name: (2 if i % 2 else 1) for i, s in enumerate(specs)},
+            {s.name: 3 for s in specs},
+        ]
+        bounds = lower_bound_family(specs, family, 4, comm, OVERLAP)
+        assert bounds == [
+            lower_bound(specs, degrees, 4, comm, OVERLAP) for degrees in family
+        ]
+
+    def test_family_of_empty_specs(self):
+        assert lower_bound_family([], [{}, {}], 2, COMM, OVERLAP) == [0.0, 0.0]
 
 
 class TestCertify:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,3 +73,24 @@ class TestGenerateWorkload:
     def test_invalid_count(self):
         with pytest.raises(ConfigurationError):
             generate_workload(5, 0, seed=1)
+
+    def test_missing_numpy_is_a_configuration_error(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import now fails
+        with pytest.raises(ConfigurationError):
+            generate_workload(5, 1, seed=1)
+
+
+def test_import_repro_loads_no_numpy():
+    """numpy is imported only where random numbers are drawn."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import sys\n"
+        "import repro, repro.sim, repro.experiments, repro.serialization\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -39,9 +39,9 @@ from repro.sim.faults import FaultPlan, FaultSpec
 try:
     import numpy  # noqa: F401
 
-    HAVE_NUMPY = True
+    NUMPY_INSTALLED = True
 except ImportError:  # no-numpy CI job
-    HAVE_NUMPY = False
+    NUMPY_INSTALLED = False
 
 OVERLAP = ConvexCombinationOverlap(0.5)
 
@@ -326,7 +326,7 @@ class TestSimulationTimeline:
         assert validate_trace_events(trace_payload(events)) == []
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="workload generation requires numpy")
+@pytest.mark.skipif(not NUMPY_INSTALLED, reason="workload generation requires numpy")
 class TestScheduleResultTimeline:
     def _result(self):
         from repro.experiments import prepare_workload

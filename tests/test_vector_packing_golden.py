@@ -7,7 +7,8 @@ optimized kernels to that contract:
 
 * every ``SortKey`` × ``PlacementRule`` combination produces the same
   ``schedule_to_dict`` JSON through :func:`pack_vectors` and
-  :func:`pack_vectors_reference` (seeded rng for the random variants);
+  :func:`pack_vectors_reference` (seeded rng for the random variants)
+  on 30-, 80- and 120-clone shelves;
 * the heap-based Figure 3 step of :func:`operator_schedule` matches a
   verbatim reimplementation of the pre-heap linear scan;
 * a hypothesis property pins the incremental site statistics (length,
@@ -217,64 +218,21 @@ def test_site_heap_returns_none_when_nothing_allowable():
     assert heap.pick(lambda s: True) is not None
 
 
-def forced_numpy(monkeypatch):
-    """Force the batch kernel on regardless of shelf size (if numpy exists)."""
-    from repro.core import batch
-
-    monkeypatch.setattr(batch, "NUMPY_CUTOVER", 0)
-    return batch.HAVE_NUMPY
-
-
-def forced_python(monkeypatch):
-    """Force the pure-Python path even above the cutover."""
-    from repro.core import batch
-
-    monkeypatch.setattr(batch, "HAVE_NUMPY", False)
-
-
 @pytest.mark.parametrize("sort", list(SortKey))
 @pytest.mark.parametrize("rule", list(PlacementRule))
-def test_forced_numpy_path_matches_reference(sort, rule, monkeypatch):
-    """Small shelves through the batch kernel stay byte-identical."""
-    if not forced_numpy(monkeypatch):
-        pytest.skip("numpy unavailable")
-    items = golden_items(30, seed=2)
+@pytest.mark.parametrize(
+    "n,p,seed", [(30, 7, 2), (120, 9, 5)], ids=["shelf30", "shelf120"]
+)
+def test_shelf_sizes_match_reference(n, p, seed, rule, sort):
+    """A short and a long shelf through the heap loop stay byte-identical."""
+    items = golden_items(n, seed=seed)
     fast = pack_vectors(
-        items, p=7, overlap=OVERLAP, sort=sort, rule=rule, rng=random.Random(2)
+        items, p=p, overlap=OVERLAP, sort=sort, rule=rule, rng=random.Random(seed)
     )
     slow = pack_vectors_reference(
-        items, p=7, overlap=OVERLAP, sort=sort, rule=rule, rng=random.Random(2)
+        items, p=p, overlap=OVERLAP, sort=sort, rule=rule, rng=random.Random(seed)
     )
     assert as_json(fast) == as_json(slow)
-
-
-@pytest.mark.parametrize("sort", list(SortKey))
-@pytest.mark.parametrize("rule", list(PlacementRule))
-def test_forced_python_path_matches_reference(sort, rule, monkeypatch):
-    """Large shelves through the heap loop (numpy off) stay byte-identical."""
-    forced_python(monkeypatch)
-    items = golden_items(120, seed=5)
-    fast = pack_vectors(
-        items, p=9, overlap=OVERLAP, sort=sort, rule=rule, rng=random.Random(5)
-    )
-    slow = pack_vectors_reference(
-        items, p=9, overlap=OVERLAP, sort=sort, rule=rule, rng=random.Random(5)
-    )
-    assert as_json(fast) == as_json(slow)
-
-
-def test_numpy_and_python_paths_agree(monkeypatch):
-    """The two LEAST_LOADED_LENGTH fast paths agree with each other."""
-    from repro.core import batch
-
-    if not batch.HAVE_NUMPY:
-        pytest.skip("numpy unavailable")
-    items = golden_items(150, seed=8)
-    monkeypatch.setattr(batch, "NUMPY_CUTOVER", 0)
-    via_kernel = pack_vectors(items, p=11, overlap=OVERLAP)
-    monkeypatch.setattr(batch, "HAVE_NUMPY", False)
-    via_heap = pack_vectors(items, p=11, overlap=OVERLAP)
-    assert as_json(via_kernel) == as_json(via_heap)
 
 
 def test_first_fit_never_constructs_heap(monkeypatch):
