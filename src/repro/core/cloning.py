@@ -24,9 +24,10 @@ works on a portion of the operator's data.  This module implements:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from repro.exceptions import ConfigurationError, SchedulingError
+from repro.exceptions import ConfigurationError, InvalidWorkVectorError, SchedulingError
 from repro.core.granularity import CommunicationModel, processing_area
 from repro.core.resource_model import OverlapModel
 from repro.core.work_vector import WorkVector
@@ -119,6 +120,10 @@ class CoordinatorPolicy:
 
     def startup_vector(self, d: int, startup: float) -> WorkVector:
         """Return the ``d``-dimensional vector charging ``startup`` seconds."""
+        return WorkVector(self._startup_components(d, startup))
+
+    def _startup_components(self, d: int, startup: float) -> list[float]:
+        """The components of :meth:`startup_vector`, not yet validated."""
         net_axis = self.network_axis if self.network_axis is not None else d - 1
         if not 0 <= self.cpu_axis < d or not 0 <= net_axis < d:
             raise ConfigurationError(
@@ -127,7 +132,7 @@ class CoordinatorPolicy:
         comps = [0.0] * d
         comps[self.cpu_axis] += self.cpu_fraction * startup
         comps[net_axis] += (1.0 - self.cpu_fraction) * startup
-        return WorkVector(comps)
+        return comps
 
 
 #: The experimental default: startup split equally between the coordinator's
@@ -203,20 +208,48 @@ def parallel_time(
     Under EA1 the maximum is attained by the coordinator clone (the only
     one carrying extra startup work), so only two distinct sequential
     times need to be evaluated.
+
+    The clone vectors are kept as plain floats: the arithmetic, its order
+    and the errors raised are those of ``(work + unit(net, beta*D)) / n``
+    plus :meth:`CoordinatorPolicy.startup_vector` on :class:`WorkVector`
+    values, so the result is bit-identical to :func:`clone_work_vectors`
+    followed by :meth:`OverlapModel.t_seq`, without building a vector.
     """
     if n < 1:
         raise SchedulingError(f"operator {spec.name!r}: clone count must be >= 1, got {n}")
-    d = spec.d
+    work = spec.work.components
+    d = len(work)
     net_axis = policy.network_axis if policy.network_axis is not None else d - 1
-    share = (spec.work + WorkVector.unit(d, net_axis, comm.transfer_cost(spec.data_volume))) / n
+    transfer = comm.transfer_cost(spec.data_volume)
+    if not 0 <= net_axis < d:
+        raise InvalidWorkVectorError(f"axis {net_axis} out of range for dimensionality {d}")
+    net = work[net_axis] + transfer
+    if not math.isfinite(net):
+        raise InvalidWorkVectorError(f"work vector component {net_axis} is not finite: {net!r}")
+    if transfer < 0.0:
+        raise InvalidWorkVectorError(f"work vector component {net_axis} is negative: {transfer!r}")
+    share = [(c + 0.0) / n for c in work]
+    share[net_axis] = net / n
     startup = comm.startup_cost(n)
-    coordinator = share
     if startup > 0.0:
-        coordinator = share + policy.startup_vector(d, startup)
-    t_coord = overlap.t_seq(coordinator)
+        # A non-finite startup half stays non-finite, at the same index and
+        # value, in the sum: checking the sum raises what both checks would.
+        halves = policy._startup_components(d, startup)
+        coordinator = [c + s for c, s in zip(share, halves)]
+        t_coord = overlap.t_seq_components(_finite(coordinator))
+    else:
+        t_coord = overlap.t_seq_components(share)
     if n == 1:
         return t_coord
-    return max(t_coord, overlap.t_seq(share))
+    return max(t_coord, overlap.t_seq_components(share))
+
+
+def _finite(comps: list[float]) -> list[float]:
+    """Return ``comps``, raising as :class:`WorkVector` does on a non-finite one."""
+    for i, c in enumerate(comps):
+        if not math.isfinite(c):
+            raise InvalidWorkVectorError(f"work vector component {i} is not finite: {c!r}")
+    return comps
 
 
 def response_optimal_degree(

@@ -114,7 +114,8 @@ class CommunicationModel:
         A degenerate model with ``alpha == 0`` imposes no startup penalty,
         so any degree is coarse grain provided ``beta*D <= f*W_p``; we
         return a sentinel of ``2**31`` in that case (callers always clamp
-        to the number of sites ``P``).
+        to the number of sites ``P``), and likewise when ``alpha`` is so
+        small that the quotient overflows to infinity.
 
         Parameters
         ----------
@@ -132,7 +133,10 @@ class CommunicationModel:
         budget = f * w_p - self.beta * data_volume
         if self.alpha == 0.0:
             return 2**31 if budget >= 0.0 else 1
-        return max(int(math.floor(budget / self.alpha)), 1)
+        quotient = budget / self.alpha
+        if math.isinf(quotient):  # a subnormal alpha: the zero-alpha case
+            return 2**31 if quotient > 0.0 else 1
+        return max(int(math.floor(quotient)), 1)
 
 
 def granularity_ratio(w_p: float, communication_area: float) -> float:

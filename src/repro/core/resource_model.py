@@ -25,7 +25,9 @@ abstract :class:`OverlapModel` lets users plug in other architectures.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.exceptions import ModelValidationError
@@ -49,8 +51,11 @@ def validate_sequential_time(t_seq: float, work: WorkVector, tolerance: float = 
     ModelValidationError
         If the bound is violated beyond floating-point ``tolerance``.
     """
-    lo = work.length()
-    hi = work.total()
+    _check_sequential_time(t_seq, work.length(), work.total(), tolerance)
+
+
+def _check_sequential_time(t_seq: float, lo: float, hi: float, tolerance: float = 1e-9) -> None:
+    """The bound of :func:`validate_sequential_time` on ``lo = max W``, ``hi = sum W``."""
     slack = tolerance * max(1.0, hi)
     if t_seq < lo - slack or t_seq > hi + slack:
         raise ModelValidationError(
@@ -82,6 +87,17 @@ class OverlapModel(ABC):
         validate_sequential_time(t, work)
         return t
 
+    def t_seq_components(self, components: Sequence[float]) -> float:
+        """Return :meth:`t_seq` of the work vector with ``components``.
+
+        For hot loops that hold a work vector as plain floats (finite and
+        non-negative, as a :class:`WorkVector`'s).  The base class wraps
+        them in a :class:`WorkVector` and delegates to :meth:`t_seq`; a
+        subclass may override this with a scalar formula, which must
+        return exactly what :meth:`t_seq` returns and keep its check.
+        """
+        return self.t_seq(WorkVector(components))
+
     def usage(self, work: WorkVector) -> "ResourceUsage":
         """Return the full ``(T_seq, W̄)`` usage pair for ``work``."""
         return ResourceUsage(t_seq=self.t_seq(work), work=work)
@@ -111,6 +127,16 @@ class ConvexCombinationOverlap(OverlapModel):
     def _t_seq_unchecked(self, work: WorkVector) -> float:
         eps = self.epsilon
         return eps * work.length() + (1.0 - eps) * work.total()
+
+    def t_seq_components(self, components: Sequence[float]) -> float:
+        # The arithmetic of ``t_seq``: a WorkVector's length is ``max`` and
+        # its total ``fsum`` of the same components, in the same order.
+        lo = max(components)
+        hi = math.fsum(components)
+        eps = self.epsilon
+        t = eps * lo + (1.0 - eps) * hi
+        _check_sequential_time(t, lo, hi)
+        return t
 
 
 #: Perfect overlap (``epsilon = 1``): ``T(W) = max_i W[i]`` (Figure 2a).

@@ -75,6 +75,12 @@ class TestNMax:
         assert model.n_max(0.7, 10.0, 1e3) == 2**31
         assert model.n_max(0.7, 0.0, 1e6) == 1
 
+    def test_subnormal_alpha_sentinel(self):
+        # budget / alpha overflows to +-inf, which floor() cannot convert.
+        model = CommunicationModel(alpha=5e-324, beta=0.6e-6)
+        assert model.n_max(1.0, 1.0, 0.0) == 2**31
+        assert model.n_max(0.7, 0.0, 1e6) == 1
+
     def test_invalid_f(self):
         model = CommunicationModel(alpha=0.015, beta=0.6e-6)
         with pytest.raises(ConfigurationError):

@@ -73,6 +73,12 @@ class TestConvexCombinationOverlap:
         assert PERFECT_OVERLAP.t_seq(WorkVector.zeros(3)) == 0.0
 
     @given(vectors3, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+    def test_scalar_path_equals_t_seq(self, w, eps):
+        # The scalar override must agree with t_seq bit for bit.
+        model = ConvexCombinationOverlap(eps)
+        assert model.t_seq_components(list(w.components)) == model.t_seq(w)
+
+    @given(vectors3, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_always_within_fundamental_bounds(self, w, eps):
         t = ConvexCombinationOverlap(eps).t_seq(w)
         assert w.length() - 1e-9 <= t <= w.total() + 1e-9
@@ -134,3 +140,22 @@ class TestCustomOverlapValidation:
 
         with pytest.raises(ModelValidationError):
             Broken().t_seq(WorkVector([10.0, 1.0]))
+
+    def test_buggy_subclass_detected_on_scalar_path(self):
+        from repro.core.resource_model import OverlapModel
+
+        class Broken(OverlapModel):
+            def _t_seq_unchecked(self, work):
+                return 0.5 * work.length()
+
+        with pytest.raises(ModelValidationError):
+            Broken().t_seq_components([10.0, 1.0])
+
+    def test_base_scalar_path_delegates_to_t_seq(self):
+        from repro.core.resource_model import OverlapModel
+
+        class Sum(OverlapModel):
+            def _t_seq_unchecked(self, work):
+                return work.total()
+
+        assert Sum().t_seq_components([10.0, 1.0]) == 11.0
