@@ -33,3 +33,14 @@ def publish(name: str, text: str) -> None:
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+def run_annotated(query, scheduler, **kwargs):
+    """Run ``scheduler`` on a prepared query with its cost annotation active.
+
+    :func:`repro.experiments.prepare_workload` returns queries whose
+    specs stay detached from the shared operator tree, so every
+    scheduler call resolves them through ``query.annotation``.
+    """
+    with query.annotation.activate():
+        return scheduler(query.operator_tree, query.task_tree, **kwargs)

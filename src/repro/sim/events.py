@@ -59,8 +59,10 @@ class RateInterval:
         Names of the clones executing during the interval (as
         ``operator#clone`` strings).
     throttle:
-        Common progress-rate factor applied during the interval
-        (1.0 means every active clone runs at full nominal speed).
+        Slowest progress speed among the active clones, as a multiple
+        of nominal speed (1.0 means every active clone runs at full
+        nominal speed on a unit site; the site's capacity and any fault
+        slowdown are part of the speed).
     resource_rates:
         Aggregate per-resource consumption rate during the interval;
         feasibility requires every entry ``<= 1`` (+ rounding).

@@ -25,12 +25,13 @@ Everything is driven by a :class:`FaultSpec` (intensities and severity
 ranges) expanded into a concrete :class:`FaultPlan` by a *private*
 ``random.Random(seed)`` — never the global RNG state — so the same
 ``(spec, schedule, seed)`` triple always yields the identical plan, and
-a zero-intensity spec yields the empty plan (the simulator then takes
-its unperturbed code path, byte-identical to a plain simulation).
+a zero-intensity spec yields the empty plan (the simulator then runs
+every site with an empty :class:`SiteFaults` bundle, which is exactly
+what a plain simulation runs).
 
 The module deliberately knows nothing about the simulator internals;
-:mod:`repro.sim.simulator` consumes plans and fills in the per-category
-time attribution of :class:`FaultReport`.
+:mod:`repro.sim.simulator` consumes plans in its one event loop and
+fills in the per-category time attribution of :class:`FaultReport`.
 """
 
 from __future__ import annotations

@@ -22,9 +22,10 @@ resource ``i`` gets a *preemptability* ``sigma_i`` in ``[0, 1]``:
   — each additional concurrent user costs a ``(1 - sigma_i)`` fraction
   of one user's bandwidth in switching overhead.
 
-The degraded simulation is an equal-throttle (fair-share) fluid loop with
-this capacity model; ``sigma = (1, ..., 1)`` reproduces the plain
-FAIR_SHARE policy exactly (tested).
+The degraded simulation is the simulator's one event loop under the
+FAIR_SHARE policy, with each resource's capacity taken from this model;
+``sigma = (1, ..., 1)`` reproduces the plain FAIR_SHARE policy exactly,
+on sites of any capacity (tested).
 """
 
 from __future__ import annotations
@@ -35,18 +36,15 @@ from dataclasses import dataclass
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.core.schedule import PhasedSchedule
 from repro.core.site import Site
-from repro.sim.events import CloneTrace, RateInterval
+from repro.sim.policies import SharingPolicy
 from repro.sim.simulator import (
     PhaseSimulation,
     SimulationResult,
     SiteSimulation,
-    _clone_states,
+    _run_site,
 )
-from repro.sim.policies import SharingPolicy
 
 __all__ = ["PreemptabilityModel", "simulate_site_degraded", "simulate_phased_degraded"]
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -109,80 +107,8 @@ def simulate_site_degraded(site: Site, model: PreemptabilityModel) -> SiteSimula
         raise SimulationError(
             f"preemptability model covers {model.d} resources; site has {site.d}"
         )
-    analytic = site.t_site()
-    states = _clone_states(site)
-    active = [s for s in states if s["t_seq"] > 0]
-    traces = [
-        CloneTrace(
-            operator=s["operator"],
-            clone_index=s["clone_index"],
-            start=0.0,
-            finish=0.0,
-            nominal_t_seq=0.0,
-        )
-        for s in states
-        if s["t_seq"] <= 0
-    ]
-    intervals: list[RateInterval] = []
-    now = 0.0
-    guard = 0
-    while active:
-        guard += 1
-        if guard > 10_000 + 10 * len(states):
-            raise SimulationError(
-                f"site {site.index}: degraded simulation failed to converge"
-            )
-        congestion = [0.0] * site.d
-        users = [0] * site.d
-        for s in active:
-            for i, r in enumerate(s["rates"]):
-                if r > 0.0:
-                    congestion[i] += r
-                    users[i] += 1
-        throttle = 1.0
-        for i in range(site.d):
-            if congestion[i] <= 0.0:
-                continue
-            capacity = model.effective_capacity(i, users[i])
-            throttle = min(throttle, capacity / congestion[i])
-        throttle = min(throttle, 1.0)
-        if throttle <= 0.0:
-            raise SimulationError(f"site {site.index}: zero progress rate")
-        dt = min(s["remaining"] / throttle for s in active)
-        end = now + dt
-        intervals.append(
-            RateInterval(
-                start=now,
-                end=end,
-                active=tuple(s["label"] for s in active),
-                throttle=throttle,
-                resource_rates=tuple(c * throttle for c in congestion),
-            )
-        )
-        still_active = []
-        for s in active:
-            s["remaining"] -= throttle * dt
-            if s["remaining"] <= _EPS * max(1.0, s["t_seq"]):
-                traces.append(
-                    CloneTrace(
-                        operator=s["operator"],
-                        clone_index=s["clone_index"],
-                        start=0.0,
-                        finish=end,
-                        nominal_t_seq=s["t_seq"],
-                    )
-                )
-            else:
-                still_active.append(s)
-        active = still_active
-        now = end
-    return SiteSimulation(
-        site_index=site.index,
-        completion_time=now,
-        analytic_time=analytic,
-        traces=traces,
-        intervals=intervals,
-    )
+    sim, _ = _run_site(site, SharingPolicy.FAIR_SHARE, preemptability=model)
+    return sim
 
 
 def simulate_phased_degraded(

@@ -9,26 +9,31 @@ advances.  Phases are synchronized globally, as in TREESCHEDULE: phase
 ``k+1`` starts when the slowest site of phase ``k`` finishes.
 
 Under :attr:`SharingPolicy.OPTIMAL_STRETCH` the simulated response time
-reproduces the analytic model *exactly* (this is asserted by the
-validation tests); under :attr:`FAIR_SHARE` and :attr:`SERIAL` it bounds
-the model from above, quantifying the optimism of assumptions A2/A3.
+reproduces the analytic model (to rounding; asserted by the validation
+tests); under :attr:`FAIR_SHARE` and :attr:`SERIAL` it bounds the model
+from above, quantifying the optimism of assumptions A2/A3.
+
+One engine: every site, faulty or not, runs the same event loop over one
+fluid state.  The three sharing policies are rate allocations over that
+state (:func:`_allocate_rates`), and the events are clone completions,
+straggler releases, the failure instant and the recovery instant.  A
+fault-free site is the loop with an empty
+:class:`~repro.sim.faults.SiteFaults` bundle, so a zero-fault plan is
+byte-identical to no plan at all by construction.  The partial
+preemptability model of :mod:`repro.sim.preemptability` is the same loop
+with degraded FAIR_SHARE capacities.
 
 Heterogeneous clusters: a site of capacity ``c``
 (:attr:`~repro.core.site.Site.capacity`) executes every resource ``c``
-times faster.  The fault-free per-policy simulators run in unit-capacity
-time and :func:`simulate_site` rescales their events by ``1/c``; the
-fault event loop composes ``c`` directly with the fault slowdown factor.
-Recorded rate intervals stay in utilization units (fraction of the
-site's own budget).  At ``c = 1.0`` every path is byte-identical to the
-homogeneous simulator.
+times faster; the loop composes ``c`` with any fault slowdown into every
+progress speed.  Recorded rate intervals stay in utilization units
+(fraction of the site's own budget), while an interval's ``throttle``
+is the slowest progress speed including that factor.
 
 Fault injection: every entry point accepts an optional
 :class:`~repro.sim.faults.FaultPlan` (or per-site
-:class:`~repro.sim.faults.SiteFaults`).  Sites untouched by the plan run
-the exact unperturbed code path — a zero-fault plan is byte-identical to
-no plan at all (golden-tested) — while faulty sites go through a
-generalized event loop that honours capacity slowdowns, work-estimate
-skew, straggler start delays and whole-site failures with
+:class:`~repro.sim.faults.SiteFaults`) honouring capacity slowdowns,
+work-estimate skew, straggler start delays and whole-site failures with
 restart-after-delay recovery, for all three sharing policies.
 """
 
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.exceptions import SimulationError
 from repro.core.resource_model import ConvexCombinationOverlap
@@ -47,6 +53,9 @@ from repro.sim.events import CloneTrace, RateInterval
 from repro.sim.faults import FaultPlan, FaultReport, SiteFaults
 from repro.sim.policies import SharingPolicy
 
+if TYPE_CHECKING:
+    from repro.sim.preemptability import PreemptabilityModel
+
 __all__ = [
     "SiteSimulation",
     "PhaseSimulation",
@@ -57,6 +66,7 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+_NO_FAULTS = SiteFaults()
 
 
 @dataclass
@@ -140,272 +150,16 @@ class SimulationResult:
         return self.response_time / self.analytic_response_time
 
 
-def _clone_states(site: Site) -> list[dict]:
-    states = []
-    for clone in site.clones:
-        t = clone.t_seq
-        rates = tuple((c / t if t > 0 else 0.0) for c in clone.work.components)
-        states.append(
-            {
-                "label": f"{clone.operator}#{clone.clone_index}",
-                "operator": clone.operator,
-                "clone_index": clone.clone_index,
-                "t_seq": t,
-                "rates": rates,
-                "remaining": t,
-            }
-        )
-    return states
-
-
-def _check_feasible(
-    resource_rates: tuple[float, ...], site_index: int, limit: float = 1.0
-) -> None:
-    for i, r in enumerate(resource_rates):
-        if r > limit * (1.0 + 1e-6):
-            raise SimulationError(
-                f"site {site_index}: resource {i} driven at rate {r:.6f} > "
-                f"{limit:g}"
-            )
-
-
-def _simulate_stretch(site: Site) -> SiteSimulation:
-    """OPTIMAL_STRETCH: every clone finishes exactly at T* (Equation 2).
-
-    Runs in unit-capacity time; :func:`simulate_site` rescales for
-    heterogeneous sites.
-    """
-    analytic = site.unit_t_site()
-    states = _clone_states(site)
-    t_star = analytic
-    traces = []
-    agg = [0.0] * site.d
-    for s in states:
-        # Stretch factor T_c / T*; a zero-work clone completes immediately.
-        factor = (s["t_seq"] / t_star) if t_star > 0 else 0.0
-        for i, r in enumerate(s["rates"]):
-            agg[i] += r * factor
-        traces.append(
-            CloneTrace(
-                operator=s["operator"],
-                clone_index=s["clone_index"],
-                start=0.0,
-                finish=t_star if s["t_seq"] > 0 else 0.0,
-                nominal_t_seq=s["t_seq"],
-            )
-        )
-    rates = tuple(agg)
-    _check_feasible(rates, site.index)
-    intervals = []
-    if states and t_star > 0:
-        intervals.append(
-            RateInterval(
-                start=0.0,
-                end=t_star,
-                active=tuple(s["label"] for s in states),
-                throttle=min(
-                    (s["t_seq"] / t_star for s in states if s["t_seq"] > 0),
-                    default=1.0,
-                ),
-                resource_rates=rates,
-            )
-        )
-    return SiteSimulation(
-        site_index=site.index,
-        completion_time=t_star if states else 0.0,
-        analytic_time=analytic,
-        traces=traces,
-        intervals=intervals,
-    )
-
-
-def _simulate_fair_share(site: Site) -> SiteSimulation:
-    """FAIR_SHARE: equal throttle for all active clones, event-driven.
-
-    Runs in unit-capacity time; :func:`simulate_site` rescales for
-    heterogeneous sites.
-    """
-    analytic = site.unit_t_site()
-    states = _clone_states(site)
-    active = [s for s in states if s["t_seq"] > 0]
-    traces = [
-        CloneTrace(
-            operator=s["operator"],
-            clone_index=s["clone_index"],
-            start=0.0,
-            finish=0.0,
-            nominal_t_seq=0.0,
-        )
-        for s in states
-        if s["t_seq"] <= 0
-    ]
-    intervals: list[RateInterval] = []
-    now = 0.0
-    guard = 0
-    while active:
-        guard += 1
-        if guard > 10_000 + 10 * len(states):
-            raise SimulationError(
-                f"site {site.index}: fair-share simulation failed to converge"
-            )
-        congestion = [0.0] * site.d
-        for s in active:
-            for i, r in enumerate(s["rates"]):
-                congestion[i] += r
-        peak = max(congestion, default=0.0)
-        throttle = 1.0 if peak <= 1.0 else 1.0 / peak
-        # Next completion under the common throttle.
-        dt = min(s["remaining"] / throttle for s in active)
-        end = now + dt
-        rates = tuple(c * throttle for c in congestion)
-        _check_feasible(rates, site.index)
-        # A zero-length step (a clone whose remaining work rounds to
-        # nothing) still completes clones below, but must not emit a
-        # degenerate interval: downstream feasibility/duration audits
-        # treat intervals as strictly positive spans.
-        if dt > 0.0:
-            intervals.append(
-                RateInterval(
-                    start=now,
-                    end=end,
-                    active=tuple(s["label"] for s in active),
-                    throttle=throttle,
-                    resource_rates=rates,
-                )
-            )
-        still_active = []
-        for s in active:
-            s["remaining"] -= throttle * dt
-            if s["remaining"] <= _EPS * max(1.0, s["t_seq"]):
-                traces.append(
-                    CloneTrace(
-                        operator=s["operator"],
-                        clone_index=s["clone_index"],
-                        start=0.0,
-                        finish=end,
-                        nominal_t_seq=s["t_seq"],
-                    )
-                )
-            else:
-                still_active.append(s)
-        active = still_active
-        now = end
-    return SiteSimulation(
-        site_index=site.index,
-        completion_time=now,
-        analytic_time=analytic,
-        traces=traces,
-        intervals=intervals,
-    )
-
-
-def _simulate_serial(site: Site) -> SiteSimulation:
-    """SERIAL: clones run one after another, longest first.
-
-    Runs in unit-capacity time; :func:`simulate_site` rescales for
-    heterogeneous sites.
-    """
-    analytic = site.unit_t_site()
-    states = sorted(
-        _clone_states(site), key=lambda s: (-s["t_seq"], s["label"])
-    )
-    traces = []
-    intervals = []
-    now = 0.0
-    for s in states:
-        end = now + s["t_seq"]
-        traces.append(
-            CloneTrace(
-                operator=s["operator"],
-                clone_index=s["clone_index"],
-                start=now,
-                finish=end,
-                nominal_t_seq=s["t_seq"],
-            )
-        )
-        if s["t_seq"] > 0:
-            intervals.append(
-                RateInterval(
-                    start=now,
-                    end=end,
-                    active=(s["label"],),
-                    throttle=1.0,
-                    resource_rates=s["rates"],
-                )
-            )
-        now = end
-    return SiteSimulation(
-        site_index=site.index,
-        completion_time=now,
-        analytic_time=analytic,
-        traces=traces,
-        intervals=intervals,
-    )
-
-
-_POLICY_DISPATCH = {
-    SharingPolicy.OPTIMAL_STRETCH: _simulate_stretch,
-    SharingPolicy.FAIR_SHARE: _simulate_fair_share,
-    SharingPolicy.SERIAL: _simulate_serial,
-}
-
-
-def _scale_site_sim(sim: SiteSimulation, capacity: float) -> SiteSimulation:
-    """Rescale a unit-capacity simulation to a site of speed ``capacity``.
-
-    A capacity-``c`` site drives every resource ``c`` times faster, so
-    every event lands at ``t / c``.  Recorded ``resource_rates`` stay in
-    *utilization* units (fraction of the site's own budget) — running
-    ``c``× faster on a ``c``× budget leaves utilization unchanged, so
-    :meth:`RateInterval.is_feasible`'s ``<= 1`` audit remains the right
-    check.  Callers skip this entirely at ``c == 1.0``, keeping the
-    homogeneous simulation byte-identical.
-    """
-    sim.completion_time /= capacity
-    sim.analytic_time /= capacity
-    sim.traces = [
-        CloneTrace(
-            operator=t.operator,
-            clone_index=t.clone_index,
-            start=t.start / capacity,
-            finish=t.finish / capacity,
-            nominal_t_seq=t.nominal_t_seq,
-        )
-        for t in sim.traces
-    ]
-    sim.intervals = [
-        RateInterval(
-            start=iv.start / capacity,
-            end=iv.end / capacity,
-            active=iv.active,
-            throttle=iv.throttle,
-            resource_rates=iv.resource_rates,
-        )
-        for iv in sim.intervals
-    ]
-    return sim
-
-
-# ----------------------------------------------------------------------
-# Fault-perturbed execution
-# ----------------------------------------------------------------------
-# Faulty sites run a generalized event loop instead of the closed-form
-# per-policy simulators above: state is still piecewise constant, but
-# events now include straggler releases, the failure instant, and the
-# recovery instant in addition to clone completions.  Sites without
-# faults never enter this code, which is what keeps the zero-fault path
-# byte-identical to the plain simulator.
-
-
-def _faulty_clone_states(site: Site, faults: SiteFaults) -> list[dict]:
-    """Clone states with skewed work applied and release times attached.
+def _clone_states(site: Site, faults: SiteFaults) -> list[dict]:
+    """Fluid state of every resident clone, with the bundle's faults applied.
 
     A skewed clone's stand-alone time is re-derived from its *actual*
-    work vector under EA2 with the plan's epsilon, which preserves the
+    work vector under EA2 with the bundle's epsilon, which preserves the
     Section 4.1 bound ``l(W) <= T_seq <= sum(W)`` by construction
-    (:meth:`OverlapModel.t_seq` validates it).
+    (:meth:`OverlapModel.t_seq` validates it).  A straggler gets its
+    release time; every other clone is released at zero.
     """
-    overlap = ConvexCombinationOverlap(faults.epsilon)
+    overlap = None
     states = []
     for clone in site.clones:
         label = f"{clone.operator}#{clone.clone_index}"
@@ -418,6 +172,8 @@ def _faulty_clone_states(site: Site, faults: SiteFaults) -> list[dict]:
                     f"site {site.index}: skew for {label} has "
                     f"{len(fault.work_multipliers)} components; clone has {clone.work.d}"
                 )
+            if overlap is None:
+                overlap = ConvexCombinationOverlap(faults.epsilon)
             actual = WorkVector(
                 [c * m for c, m in zip(components, fault.work_multipliers)]
             )
@@ -441,81 +197,128 @@ def _faulty_clone_states(site: Site, faults: SiteFaults) -> list[dict]:
     return states
 
 
+def _check_feasible(
+    resource_rates: tuple[float, ...], site_index: int, limit: float
+) -> None:
+    for i, r in enumerate(resource_rates):
+        if r > limit * (1.0 + 1e-6):
+            raise SimulationError(
+                f"site {site_index}: resource {i} driven at rate {r:.6f} > "
+                f"{limit:g}"
+            )
+
+
 def _allocate_rates(
     policy: SharingPolicy,
     active: list[dict],
     capacity: float,
     d: int,
-    serial_rank: dict[str, int],
-) -> list[float]:
-    """Per-clone progress speeds for one piecewise-constant segment.
+    serial_rank: dict[str, int] | None,
+    preemptability: PreemptabilityModel | None,
+) -> list[tuple[dict, float]]:
+    """The clones that progress during one piecewise-constant segment.
 
-    ``capacity`` is the (possibly degraded) uniform resource-capacity
-    factor: a slowdown ``s`` scales *every* progress speed by ``s``, so
-    in isolation it multiplies every duration by exactly ``1/s`` (the
-    EA2 stand-alone time models imperfect overlap, which a uniformly
-    slower site preserves).  The three policies generalize their
-    fault-free definitions: SERIAL runs one clone at the capacity
-    factor, FAIR_SHARE applies one common throttle, and OPTIMAL_STRETCH
-    finishes every active clone simultaneously at the earliest feasible
-    horizon ``max(max_c rem_c, max_i sum_c rate_c[i] * rem_c) /
-    capacity`` (the Equation 2 horizon when nothing is degraded).
+    Returns ``(state, speed)`` pairs for the active clones given a
+    non-zero progress speed; the others wait.  ``capacity`` is the
+    site's speed composed with any fault slowdown: it scales *every*
+    progress speed, so in isolation it multiplies every duration by
+    exactly ``1/capacity`` (the EA2 stand-alone time models imperfect
+    overlap, which a uniformly faster or slower site preserves).
+
+    * SERIAL runs the highest-ranked clone (longest scheduled time
+      first) alone at the capacity factor.
+    * FAIR_SHARE gives every active clone one common throttle
+      ``min(1, min_i cap_i / congestion_i)`` over the resources with
+      positive congestion, where ``cap_i`` is 1 under assumption A2 and
+      the :class:`~repro.sim.preemptability.PreemptabilityModel`'s
+      effective capacity for the resource's number of users otherwise.
+      At ``cap_i = 1`` this is ``1 / max_i congestion_i`` whenever some
+      resource is over-subscribed, since correctly rounded division is
+      monotone.
+    * OPTIMAL_STRETCH finishes every active clone simultaneously at the
+      earliest feasible horizon ``max(max_c rem_c, max_i sum_c rate_c[i]
+      * rem_c) / capacity`` (the Equation 2 horizon when nothing is
+      degraded).
     """
     if policy is SharingPolicy.SERIAL:
         runner = min(active, key=lambda s: serial_rank[s["label"]])
-        return [capacity if s is runner else 0.0 for s in active]
+        return [(runner, capacity)]
     if policy is SharingPolicy.FAIR_SHARE:
         congestion = [0.0] * d
+        users = [0] * d
         for s in active:
             for i, r in enumerate(s["rates"]):
-                congestion[i] += r
+                if r > 0.0:
+                    congestion[i] += r
+                    users[i] += 1
         throttle = 1.0
-        for c in congestion:
-            if c > 1.0:
-                throttle = min(throttle, 1.0 / c)
-        return [throttle * capacity] * len(active)
+        for i, c in enumerate(congestion):
+            if c > 0.0:
+                cap = (
+                    1.0
+                    if preemptability is None
+                    else preemptability.effective_capacity(i, users[i])
+                )
+                throttle = min(throttle, cap / c)
+        speed = throttle * capacity
+        return [(s, speed) for s in active] if speed > 0.0 else []
     horizon = max(s["remaining"] for s in active)
     for i in range(d):
         demand = math.fsum(s["rates"][i] * s["remaining"] for s in active)
         horizon = max(horizon, demand)
     horizon /= capacity
     if horizon <= 0.0:
-        return [1.0] * len(active)
-    return [s["remaining"] / horizon for s in active]
+        return [(s, 1.0) for s in active]
+    moving = []
+    for s in active:
+        speed = s["remaining"] / horizon
+        if speed > 0.0:
+            moving.append((s, speed))
+    return moving
 
 
-def _run_site_with_faults(
-    site: Site, policy: SharingPolicy, faults: SiteFaults
+def _run_site(
+    site: Site,
+    policy: SharingPolicy,
+    faults: SiteFaults = _NO_FAULTS,
+    preemptability: PreemptabilityModel | None = None,
 ) -> tuple[SiteSimulation, float]:
-    """Event-driven simulation of one site under a fault bundle.
+    """Event-driven fluid simulation of one site under a fault bundle.
 
+    The one per-site simulator: an empty bundle is the unperturbed run.
     Returns the site simulation and the stand-alone-seconds of progress
     destroyed (and later re-run) by a failure.
 
-    Failure semantics: at ``fail_at`` every *started, unfinished* clone
-    loses its progress (its remaining work resets to the full actual
-    stand-alone time); clones that completed at or before the failure
-    instant keep their materialized results; the site is down for
-    ``restart_delay`` and then re-runs the lost work.
+    A clone *starts* when it first receives a non-zero speed, so a
+    SERIAL queue records each clone's actual turn, and a zero-work clone
+    completes the instant it is released.  Failure semantics: at
+    ``fail_at`` every started, unfinished clone loses its progress (its
+    remaining work resets to the full actual stand-alone time); clones
+    that completed at or before the failure instant keep their
+    materialized results; the site is down for ``restart_delay`` and
+    then re-runs the lost work.  ``preemptability`` degrades FAIR_SHARE
+    capacities (see :func:`_allocate_rates`).
     """
     analytic = site.t_site()
-    states = _faulty_clone_states(site, faults)
+    states = _clone_states(site, faults)
     slowdown = faults.slowdown if faults.slowdown is not None else 1.0
     if slowdown <= 0.0:
         raise SimulationError(f"site {site.index}: slowdown factor must be > 0")
     # The site's own speed composes with the fault slowdown: a capacity-2
     # site degraded to half speed progresses at factor 1.0.  Multiplying
-    # by the default capacity 1.0 is bit-exact, so homogeneous fault runs
-    # are unchanged.
+    # by the default capacity 1.0 is bit-exact.
     capacity = site.capacity * slowdown
+    d = site.d
     fail_at = faults.fail_at
     restart_delay = faults.restart_delay
-    serial_rank = {
-        s["label"]: i
-        for i, s in enumerate(
-            sorted(states, key=lambda s: (-s["scheduled_t_seq"], s["label"]))
-        )
-    }
+    serial_rank = None
+    if policy is SharingPolicy.SERIAL:
+        serial_rank = {
+            s["label"]: i
+            for i, s in enumerate(
+                sorted(states, key=lambda s: (-s["scheduled_t_seq"], s["label"]))
+            )
+        }
     traces: list[CloneTrace] = []
     intervals: list[RateInterval] = []
     work_rerun = 0.0
@@ -539,7 +342,7 @@ def _run_site_with_faults(
         guard += 1
         if guard > limit:
             raise SimulationError(
-                f"site {site.index}: faulty simulation failed to converge"
+                f"site {site.index}: simulation failed to converge"
             )
         pending = [s for s in states if not s["done"]]
         if not pending:
@@ -560,7 +363,7 @@ def _run_site_with_faults(
                         end=recovered,
                         active=(),
                         throttle=0.0,
-                        resource_rates=(0.0,) * site.d,
+                        resource_rates=(0.0,) * d,
                     )
                 )
             now = recovered
@@ -577,47 +380,44 @@ def _run_site_with_faults(
                 )
             now = min(boundaries)
             continue
-        for s in active:
-            if s["start"] is None:
-                s["start"] = now
-        speeds = _allocate_rates(policy, active, capacity, site.d, serial_rank)
-        dt = min(
-            (s["remaining"] / v for s, v in zip(active, speeds) if v > 0.0),
-            default=math.inf,
+        moving = _allocate_rates(
+            policy, active, capacity, d, serial_rank, preemptability
         )
+        dt = min((s["remaining"] / v for s, v in moving), default=math.inf)
         if boundaries:
             dt = min(dt, min(boundaries) - now)
-        if not math.isfinite(dt) or dt <= 0.0:
+        # dt == 0 is a clone whose remaining work is already (numerically)
+        # nothing: it completes below without recording an interval.
+        if not math.isfinite(dt) or dt < 0.0:
             raise SimulationError(
-                f"site {site.index}: faulty simulation stalled at t={now}"
+                f"site {site.index}: simulation stalled at t={now}"
             )
         end = now + dt
-        agg = [0.0] * site.d
-        for s, v in zip(active, speeds):
-            for i, r in enumerate(s["rates"]):
-                agg[i] += r * v
-        rates = tuple(agg)
-        # Budget is the site's own capacity (the fault slowdown wastes
-        # part of it; it does not shrink what feasibility allows).
-        _check_feasible(rates, site.index, site.capacity)
-        if site.capacity != 1.0:
-            # Record utilization (fraction of this site's budget) so the
-            # RateInterval <= 1 audit stays meaningful on fast sites.
-            rates = tuple(r / site.capacity for r in rates)
-        running = tuple(s["label"] for s, v in zip(active, speeds) if v > 0.0)
-        if running:
+        if moving and dt > 0.0:
+            agg = [0.0] * d
+            for s, v in moving:
+                for i, r in enumerate(s["rates"]):
+                    agg[i] += r * v
+            rates = tuple(agg)
+            # Budget is the site's own capacity (a fault slowdown wastes
+            # part of it; it does not shrink what feasibility allows).
+            _check_feasible(rates, site.index, site.capacity)
+            if site.capacity != 1.0:
+                # Record utilization (fraction of this site's budget) so
+                # the RateInterval <= 1 audit stays meaningful on fast sites.
+                rates = tuple(r / site.capacity for r in rates)
             intervals.append(
                 RateInterval(
                     start=now,
                     end=end,
-                    active=running,
-                    throttle=min(v for v in speeds if v > 0.0),
+                    active=tuple(s["label"] for s, _ in moving),
+                    throttle=min(v for _, v in moving),
                     resource_rates=rates,
                 )
             )
-        for s, v in zip(active, speeds):
-            if v <= 0.0:
-                continue
+        for s, v in moving:
+            if s["start"] is None:
+                s["start"] = now
             s["remaining"] -= v * dt
             if s["remaining"] <= _EPS * max(1.0, s["t_seq"]):
                 s["done"] = True
@@ -658,20 +458,20 @@ def _attribute_site_faults(
     work finishes early); the remaining deltas are non-negative.
     """
     report = FaultReport()
-    sim, _ = _run_site_with_faults(site, policy, faults.restricted())
+    sim, _ = _run_site(site, policy, faults.restricted())
     prev = sim.completion_time
     if faults.has_skew:
-        sim, _ = _run_site_with_faults(site, policy, faults.restricted(skew=True))
+        sim, _ = _run_site(site, policy, faults.restricted(skew=True))
         report.time_lost_skew = sim.completion_time - prev
         prev = sim.completion_time
     if faults.slowdown is not None:
-        sim, _ = _run_site_with_faults(
+        sim, _ = _run_site(
             site, policy, faults.restricted(skew=True, slowdown=True)
         )
         report.time_lost_slowdown = sim.completion_time - prev
         prev = sim.completion_time
     if faults.has_stragglers:
-        sim, _ = _run_site_with_faults(
+        sim, _ = _run_site(
             site,
             policy,
             faults.restricted(skew=True, slowdown=True, straggler=True),
@@ -679,7 +479,7 @@ def _attribute_site_faults(
         report.time_lost_straggler = sim.completion_time - prev
         prev = sim.completion_time
     if faults.fail_at is not None:
-        sim, rerun = _run_site_with_faults(site, policy, faults)
+        sim, rerun = _run_site(site, policy, faults)
         report.time_lost_failure = sim.completion_time - prev
         report.work_rerun = rerun
     return sim, report
@@ -694,26 +494,16 @@ def simulate_site(
     (every clone's trace spans enough stretched time to complete its
     nominal work).
 
-    With a non-empty ``faults`` bundle the site runs the perturbed event
-    loop instead; the Equation (2) floor check is skipped there because
-    downward work skew legitimately finishes below the *scheduled*
-    analytic time.
+    ``faults=None`` and an empty bundle are the same unperturbed run.
+    A fault-free site must also finish no earlier than its Equation (2)
+    time; that floor check is skipped under faults because downward work
+    skew legitimately finishes below the *scheduled* analytic time.
     """
-    if faults is not None and not faults.is_empty:
-        result, _ = _run_site_with_faults(site, policy, faults)
-        if result.completion_time < -_EPS:
-            raise SimulationError(f"site {site.index}: negative completion time")
-        return result
-    result = _POLICY_DISPATCH[policy](site)
-    if site.capacity != 1.0:
-        result = _scale_site_sim(result, site.capacity)
-    # Work conservation: each finished clone ran for >= its nominal time
-    # scaled by the throttles it received — guaranteed by construction for
-    # these policies; assert the cheap invariant finish >= 0 and
-    # completion >= analytic floor for non-ideal policies.
+    faulty = faults is not None and not faults.is_empty
+    result, _ = _run_site(site, policy, faults if faulty else _NO_FAULTS)
     if result.completion_time < -_EPS:
         raise SimulationError(f"site {site.index}: negative completion time")
-    if result.completion_time < result.analytic_time - 1e-6 * max(
+    if not faulty and result.completion_time < result.analytic_time - 1e-6 * max(
         1.0, result.analytic_time
     ):
         raise SimulationError(
@@ -756,8 +546,8 @@ def simulate_schedule(
     """Simulate one phase (all sites run concurrently from time zero).
 
     Pass a :class:`~repro.sim.faults.FaultPlan` (and the phase's index
-    within it) to run the phase under perturbation; fault-free sites
-    still take the exact unperturbed code path.
+    within it) to run the phase under perturbation; sites the plan
+    leaves untouched run unperturbed.
     """
     if plan is not None and not plan.is_empty:
         phase, _ = _simulate_schedule_with_plan(schedule, policy, plan, phase_index)

@@ -69,6 +69,21 @@ class TestSiteSimulation:
         degraded = simulate_site_degraded(site, PreemptabilityModel.perfect(2))
         assert degraded.completion_time == pytest.approx(fair.completion_time)
 
+    @pytest.mark.parametrize("capacity", [0.5, 1.7, 2.0])
+    def test_perfect_matches_fair_share_on_heterogeneous_site(self, capacity):
+        site = site_with([[10.0, 2.0], [3.0, 9.0], [5.0, 5.0]])
+        site.set_capacity(capacity)
+        fair = simulate_site(site, SharingPolicy.FAIR_SHARE)
+        degraded = simulate_site_degraded(site, PreemptabilityModel.perfect(2))
+        assert degraded == fair
+        assert degraded.completion_time == pytest.approx(
+            simulate_site_degraded(
+                site_with([[10.0, 2.0], [3.0, 9.0], [5.0, 5.0]]),
+                PreemptabilityModel.perfect(2),
+            ).completion_time
+            / capacity
+        )
+
     def test_degradation_slows_down(self):
         site = site_with([[2.0, 8.0], [3.0, 7.0], [1.0, 9.0]])
         perfect = simulate_site_degraded(site, PreemptabilityModel.perfect(2))

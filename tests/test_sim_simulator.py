@@ -18,6 +18,7 @@ from repro import (
     tree_schedule,
 )
 from repro.core.schedule import PhasedSchedule
+from repro.sim.faults import SiteFaults
 from repro.sim.simulator import simulate_schedule, simulate_site
 
 OVERLAP = ConvexCombinationOverlap(0.5)
@@ -125,6 +126,16 @@ class TestSerial:
         for (s1, f1), (s2, _) in zip(spans, spans[1:]):
             assert s2 >= f1 - 1e-9
 
+    def test_traces_dont_overlap_under_faults(self):
+        # A queued clone starts when it first runs, not at its release:
+        # at half speed the queue is (0,12) (12,20) (20,26).
+        site = site_with([[4.0, 0.0], [0.0, 6.0], [2.0, 2.0]])
+        result = simulate_site(
+            site, SharingPolicy.SERIAL, faults=SiteFaults(slowdown=0.5)
+        )
+        spans = sorted((t.start, t.finish) for t in result.traces)
+        assert spans == [(0.0, 12.0), (12.0, 20.0), (20.0, 26.0)]
+
 
 class TestScheduleAndPhases:
     def _schedule(self):
@@ -192,7 +203,7 @@ class TestSlowdownRatio:
 
 class TestZeroLengthIntervals:
     """Regression: a clone whose remaining work rounds to nothing produced a
-    zero-length RateInterval from the fair-share event loop."""
+    zero-length RateInterval (or a "stalled" error) from the event loop."""
 
     def test_fair_share_skips_degenerate_steps(self, monkeypatch):
         import repro.sim.simulator as sim_mod
@@ -200,8 +211,8 @@ class TestZeroLengthIntervals:
         site = site_with([[4.0, 2.0], [1.0, 1.0]])
         original = sim_mod._clone_states
 
-        def with_exhausted_clone(s):
-            states = original(s)
+        def with_exhausted_clone(s, faults):
+            states = original(s, faults)
             # One clone arrives with its work already (numerically) done:
             # the first fair-share step then has dt == 0.
             states[1]["remaining"] = 0.0
@@ -214,3 +225,30 @@ class TestZeroLengthIntervals:
         # ... but no degenerate interval is recorded.
         for iv in result.intervals:
             assert iv.end > iv.start
+
+    @pytest.mark.parametrize("policy", list(SharingPolicy))
+    def test_exhausted_clone_completes_without_interval(self, monkeypatch, policy):
+        import repro.sim.simulator as sim_mod
+
+        site = site_with([[4.0, 2.0], [1.0, 1.0]])
+        original = sim_mod._clone_states
+
+        def with_exhausted_clone(s, faults):
+            states = original(s, faults)
+            # One clone arrives with its work already (numerically) done:
+            # the step that runs it has dt == 0.
+            states[1]["remaining"] = 0.0
+            return states
+
+        monkeypatch.setattr(sim_mod, "_clone_states", with_exhausted_clone)
+        result = simulate_site(site, policy)
+        # The exhausted clone still completes (it gets a trace) ...
+        assert len(result.traces) == 2
+        (trace,) = [t for t in result.traces if t.operator == "op1"]
+        assert trace.finish == trace.start
+        # ... but it never appears in an interval, and no degenerate
+        # interval is recorded.
+        assert result.intervals
+        for iv in result.intervals:
+            assert iv.end > iv.start
+            assert "op1#0" not in iv.active
