@@ -4,6 +4,9 @@ Each benchmark module regenerates one paper table/figure (printing the
 series exactly as EXPERIMENTS.md records them) and times the core
 computation with ``pytest-benchmark``.  Regenerated reports are also
 written under ``benchmarks/results/`` so they survive non-verbose runs.
+Those files are committed and regenerate byte-identically.  Reports of
+wall-clock times differ on every run and every host, so they go to the
+untracked ``benchmarks/timings/`` instead.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import pathlib
 from repro.experiments import PAPER_CONFIG
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: Untracked (gitignored) home of the wall-time reports.
+TIMINGS_DIR = pathlib.Path(__file__).parent / "timings"
 
 #: Reduced sweep used by the benchmarks: the paper's parameter values with
 #: fewer samples so every figure regenerates in seconds.  Shapes (who
@@ -27,12 +32,17 @@ BENCH_CONFIG = PAPER_CONFIG.with_overrides(
 )
 
 
-def publish(name: str, text: str) -> None:
-    """Print a regenerated report and persist it under results/."""
+def publish(name: str, text: str, *, timed: bool = False) -> None:
+    """Print a regenerated report and persist it.
+
+    Deterministic reports go under results/; ``timed`` ones (wall-clock
+    figures) under the untracked timings/.
+    """
     print()
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    directory = TIMINGS_DIR if timed else RESULTS_DIR
+    directory.mkdir(exist_ok=True)
+    (directory / f"{name}.txt").write_text(text + "\n")
 
 
 def run_annotated(query, scheduler, **kwargs):

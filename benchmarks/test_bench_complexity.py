@@ -60,7 +60,7 @@ def test_bench_prop52_regenerate(scaling, benchmark):
     lines.append("sites axis (J=20):")
     for p, t in by_sites:
         lines.append(f"  P={p:3d}  {t * 1e3:8.2f} ms")
-    publish("prop52", "\n".join(lines))
+    publish("prop52", "\n".join(lines), timed=True)
 
     comm = BENCH_CONFIG.params.communication_model()
     overlap = ConvexCombinationOverlap(BENCH_CONFIG.default_epsilon)

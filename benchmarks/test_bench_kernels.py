@@ -1,9 +1,10 @@
 """Experiment bench-kernels — scheduling-kernel wall-clock trajectory.
 
-Regenerates ``BENCH_kernels.json`` (repo root) with the median
-``pack_vectors`` wall-clock on the n × p grid, so every benchmark run
-extends the perf trajectory started in PR 2.  Asserts the two properties
-the optimization is sold on:
+Measures the median ``pack_vectors`` wall-clock on the n × p grid and
+writes it, in the ``BENCH_kernels.json`` format, to the untracked
+``benchmarks/timings/`` (``python benchmarks/kernel_bench.py --write``
+refreshes the committed baseline at the repo root).  Asserts the
+properties the optimization is sold on:
 
 * the optimized kernel is at least 3x faster than the frozen pre-PR 2
   baseline at the guard point (n=1000, p=64, d=3);
@@ -22,7 +23,7 @@ import json
 from repro import ConvexCombinationOverlap, pack_vectors, pack_vectors_reference
 from repro.serialization import schedule_to_dict
 
-from _helpers import publish
+from _helpers import TIMINGS_DIR, publish
 from kernel_bench import (
     GUARD_POINT,
     PRE_PR2_SECONDS,
@@ -37,8 +38,9 @@ OVERLAP = ConvexCombinationOverlap(0.5)
 
 
 def test_bench_kernels_trajectory(benchmark):
-    """Refresh BENCH_kernels.json and benchmark the guard point."""
-    payload = write_bench()
+    """Measure the kernel trajectory and benchmark the guard point."""
+    TIMINGS_DIR.mkdir(exist_ok=True)
+    payload = write_bench(TIMINGS_DIR / "BENCH_kernels.json")
     lines = [
         "== bench-kernels: pack_vectors wall-clock (median seconds) ==",
         f"{'point':14s} {'pre-PR2':>10s} {'reference':>10s} {'optimized':>10s} {'speedup':>8s}",
@@ -65,7 +67,7 @@ def test_bench_kernels_trajectory(benchmark):
         f"({resched['speedup_vs_cold_repack']:.1f}x, "
         f"{int(resched['removed_sites'])} sites removed)"
     )
-    publish("bench_kernels", "\n".join(lines))
+    publish("bench_kernels", "\n".join(lines), timed=True)
 
     items = make_items(1000)
     benchmark(lambda: pack_vectors(items, p=64, overlap=OVERLAP))

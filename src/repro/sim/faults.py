@@ -246,12 +246,12 @@ class SiteFaults:
         """
         clones = {}
         for label, fault in self.clones.items():
-            kept = CloneFault(
-                work_multipliers=fault.work_multipliers if skew else None,
-                straggler_delay=fault.straggler_delay if straggler else 0.0,
-            )
-            if not kept.is_empty:
-                clones[label] = kept
+            multipliers = fault.work_multipliers if skew else None
+            delay = fault.straggler_delay if straggler else 0.0
+            if multipliers is not None or delay != 0.0:
+                clones[label] = CloneFault(
+                    work_multipliers=multipliers, straggler_delay=delay
+                )
         return SiteFaults(
             slowdown=self.slowdown if slowdown else None,
             fail_at=self.fail_at if failure else None,
@@ -318,11 +318,10 @@ class FaultPlan:
                     delay = 0.0
                     if rng.random() < spec.straggler_prob and t_ref > 0.0:
                         delay = rng.uniform(*spec.straggler_delay_range) * t_ref
-                    fault = CloneFault(
-                        work_multipliers=multipliers, straggler_delay=delay
-                    )
-                    if not fault.is_empty:
-                        clones[f"{clone.operator}#{clone.clone_index}"] = fault
+                    if multipliers is not None or delay != 0.0:
+                        clones[f"{clone.operator}#{clone.clone_index}"] = CloneFault(
+                            work_multipliers=multipliers, straggler_delay=delay
+                        )
                 bundle = SiteFaults(
                     slowdown=slowdown,
                     fail_at=fail_at,

@@ -23,6 +23,14 @@ byte-identical to no plan at all by construction.  The partial
 preemptability model of :mod:`repro.sim.preemptability` is the same loop
 with degraded FAIR_SHARE capacities.
 
+Loop state: one ``__slots__`` record per clone (:class:`_Clone`), the
+unfinished records in the order the policy takes them, and the straggler
+releases still ahead in a sorted list.  An event costs one pass over the
+clones that move and touches no other clone while no release lies ahead
+(see :func:`_run_site`).  Its floats are bit-identical to those of the
+frozen dict-state loop that ``tests/test_sim_faulted_identity.py`` keeps
+as its oracle.
+
 Heterogeneous clusters: a site of capacity ``c``
 (:attr:`~repro.core.site.Site.capacity`) executes every resource ``c``
 times faster; the loop composes ``c`` with any fault slowdown into every
@@ -41,6 +49,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add as _add
 from typing import TYPE_CHECKING
 
 from repro.exceptions import SimulationError
@@ -150,22 +161,68 @@ class SimulationResult:
         return self.response_time / self.analytic_response_time
 
 
-def _clone_states(site: Site, faults: SiteFaults) -> list[dict]:
-    """Fluid state of every resident clone, with the bundle's faults applied.
+#: Static data of one resident clone under a bundle's skew: label,
+#: operator, clone index, actual and scheduled stand-alone times, rates
+#: at unit speed and the completion threshold.
+_Static = tuple[str, str, int, float, float, tuple[float, ...], float]
+
+
+class _Clone:
+    """Fluid state of one resident clone during a site's event loop.
+
+    ``t_seq`` is the clone's *actual* stand-alone time (skew applied),
+    ``scheduled_t_seq`` the one the schedule was built from, ``rates``
+    its per-resource demand at unit speed and ``tol`` its completion
+    threshold ``_EPS * max(1, t_seq)``.
+    """
+
+    __slots__ = (
+        "label",
+        "operator",
+        "clone_index",
+        "t_seq",
+        "scheduled_t_seq",
+        "rates",
+        "tol",
+        "remaining",
+        "release",
+        "start",
+        "done",
+    )
+
+    def __init__(self, static: _Static, release: float) -> None:
+        (
+            self.label,
+            self.operator,
+            self.clone_index,
+            self.t_seq,
+            self.scheduled_t_seq,
+            self.rates,
+            self.tol,
+        ) = static
+        self.remaining = self.t_seq
+        self.release = release
+        self.start: float | None = None
+        self.done = False
+
+
+def _site_base(site: Site, faults: SiteFaults) -> list[_Static]:
+    """Static data of every resident clone, with the bundle's skew applied.
 
     A skewed clone's stand-alone time is re-derived from its *actual*
     work vector under EA2 with the bundle's epsilon, which preserves the
     Section 4.1 bound ``l(W) <= T_seq <= sum(W)`` by construction
-    (:meth:`OverlapModel.t_seq` validates it).  A straggler gets its
-    release time; every other clone is released at zero.
+    (:meth:`OverlapModel.t_seq` validates it).  Only the skew is read
+    from the bundle, so the attribution ladder builds this once per skew
+    setting and shares it across its rungs.
     """
     overlap = None
-    states = []
+    base = []
     for clone in site.clones:
         label = f"{clone.operator}#{clone.clone_index}"
-        fault = faults.clones.get(label)
         components = clone.work.components
         t_actual = clone.t_seq
+        fault = faults.clones.get(label)
         if fault is not None and fault.work_multipliers is not None:
             if len(fault.work_multipliers) != clone.work.d:
                 raise SimulationError(
@@ -179,22 +236,43 @@ def _clone_states(site: Site, faults: SiteFaults) -> list[dict]:
             )
             t_actual = overlap.t_seq(actual)
             components = actual.components
-        rates = tuple((c / t_actual if t_actual > 0 else 0.0) for c in components)
-        states.append(
-            {
-                "label": label,
-                "operator": clone.operator,
-                "clone_index": clone.clone_index,
-                "t_seq": t_actual,
-                "scheduled_t_seq": clone.t_seq,
-                "rates": rates,
-                "remaining": t_actual,
-                "release": fault.straggler_delay if fault is not None else 0.0,
-                "start": None,
-                "done": False,
-            }
+        base.append(
+            (
+                label,
+                clone.operator,
+                clone.clone_index,
+                t_actual,
+                clone.t_seq,
+                (
+                    tuple([c / t_actual for c in components])
+                    if t_actual > 0
+                    else (0.0,) * len(components)
+                ),
+                _EPS * max(1.0, t_actual),
+            )
         )
-    return states
+    return base
+
+
+def _clone_states(
+    site: Site, faults: SiteFaults, base: list[_Static] | None = None
+) -> list[_Clone]:
+    """Fluid state of every resident clone, with the bundle's faults applied.
+
+    ``base`` is :func:`_site_base` of the site under the bundle's skew
+    (built here when not given).  A straggler gets its release time;
+    every other clone is released at zero.
+    """
+    if base is None:
+        base = _site_base(site, faults)
+    faulted = faults.clones
+    return [
+        _Clone(
+            static,
+            faulted[static[0]].straggler_delay if static[0] in faulted else 0.0,
+        )
+        for static in base
+    ]
 
 
 def _check_feasible(
@@ -210,23 +288,25 @@ def _check_feasible(
 
 def _allocate_rates(
     policy: SharingPolicy,
-    active: list[dict],
+    active: list[_Clone],
     capacity: float,
     d: int,
-    serial_rank: dict[str, int] | None,
     preemptability: PreemptabilityModel | None,
-) -> list[tuple[dict, float]]:
+) -> tuple[list[_Clone], float | None, list[float] | None]:
     """The clones that progress during one piecewise-constant segment.
 
-    Returns ``(state, speed)`` pairs for the active clones given a
-    non-zero progress speed; the others wait.  ``capacity`` is the
-    site's speed composed with any fault slowdown: it scales *every*
-    progress speed, so in isolation it multiplies every duration by
-    exactly ``1/capacity`` (the EA2 stand-alone time models imperfect
-    overlap, which a uniformly faster or slower site preserves).
+    Returns ``(moving, speed, speeds)``: the active clones given a
+    non-zero progress speed (the others wait), and either their one
+    common ``speed`` (with ``speeds`` ``None``) or one speed per moving
+    clone (with ``speed`` ``None``).  ``capacity`` is the site's speed
+    composed with any fault slowdown: it scales *every* progress speed,
+    so in isolation it multiplies every duration by exactly
+    ``1/capacity`` (the EA2 stand-alone time models imperfect overlap,
+    which a uniformly faster or slower site preserves).
 
     * SERIAL runs the highest-ranked clone (longest scheduled time
-      first) alone at the capacity factor.
+      first) alone at the capacity factor; ``active`` arrives in rank
+      order, so that is its head.
     * FAIR_SHARE gives every active clone one common throttle
       ``min(1, min_i cap_i / congestion_i)`` over the resources with
       positive congestion, where ``cap_i`` is 1 under assumption A2 and
@@ -234,47 +314,46 @@ def _allocate_rates(
       effective capacity for the resource's number of users otherwise.
       At ``cap_i = 1`` this is ``1 / max_i congestion_i`` whenever some
       resource is over-subscribed, since correctly rounded division is
-      monotone.
+      monotone.  Congestion sums in state order.
     * OPTIMAL_STRETCH finishes every active clone simultaneously at the
       earliest feasible horizon ``max(max_c rem_c, max_i sum_c rate_c[i]
       * rem_c) / capacity`` (the Equation 2 horizon when nothing is
       degraded).
     """
     if policy is SharingPolicy.SERIAL:
-        runner = min(active, key=lambda s: serial_rank[s["label"]])
-        return [(runner, capacity)]
+        return active[:1], capacity, None
     if policy is SharingPolicy.FAIR_SHARE:
-        congestion = [0.0] * d
-        users = [0] * d
-        for s in active:
-            for i, r in enumerate(s["rates"]):
-                if r > 0.0:
-                    congestion[i] += r
-                    users[i] += 1
         throttle = 1.0
-        for i, c in enumerate(congestion):
+        for i, column in enumerate(zip(*[s.rates for s in active])):
+            # Plain left-to-right addition in state order, as a loop would
+            # (``sum`` compensates on Python 3.12); zero rates add nothing.
+            c = reduce(_add, column, 0.0)
             if c > 0.0:
                 cap = (
                     1.0
                     if preemptability is None
-                    else preemptability.effective_capacity(i, users[i])
+                    else preemptability.effective_capacity(
+                        i, len([r for r in column if r > 0.0])
+                    )
                 )
                 throttle = min(throttle, cap / c)
         speed = throttle * capacity
-        return [(s, speed) for s in active] if speed > 0.0 else []
-    horizon = max(s["remaining"] for s in active)
+        return (active if speed > 0.0 else []), speed, None
+    horizon = max([s.remaining for s in active])
     for i in range(d):
-        demand = math.fsum(s["rates"][i] * s["remaining"] for s in active)
+        demand = math.fsum([s.rates[i] * s.remaining for s in active])
         horizon = max(horizon, demand)
     horizon /= capacity
     if horizon <= 0.0:
-        return [(s, 1.0) for s in active]
+        return active, 1.0, None
     moving = []
+    speeds = []
     for s in active:
-        speed = s["remaining"] / horizon
+        speed = s.remaining / horizon
         if speed > 0.0:
-            moving.append((s, speed))
-    return moving
+            moving.append(s)
+            speeds.append(speed)
+    return moving, None, speeds
 
 
 def _run_site(
@@ -282,12 +361,14 @@ def _run_site(
     policy: SharingPolicy,
     faults: SiteFaults = _NO_FAULTS,
     preemptability: PreemptabilityModel | None = None,
+    base: list[_Static] | None = None,
 ) -> tuple[SiteSimulation, float]:
     """Event-driven fluid simulation of one site under a fault bundle.
 
     The one per-site simulator: an empty bundle is the unperturbed run.
     Returns the site simulation and the stand-alone-seconds of progress
-    destroyed (and later re-run) by a failure.
+    destroyed (and later re-run) by a failure.  ``base`` is the site's
+    :func:`_site_base` when the caller already holds it.
 
     A clone *starts* when it first receives a non-zero speed, so a
     SERIAL queue records each clone's actual turn, and a zero-work clone
@@ -298,44 +379,66 @@ def _run_site(
     materialized results; the site is down for ``restart_delay`` and
     then re-runs the lost work.  ``preemptability`` degrades FAIR_SHARE
     capacities (see :func:`_allocate_rates`).
+
+    Loop state: ``pending`` holds the unfinished clone records in the
+    order the policy takes them (SERIAL rank order, placement order
+    otherwise) and is rebuilt only when a clone completes; ``releases``
+    holds the straggler releases, sorted, with a cursor past those
+    already reached.  With no release ahead the runnable set is
+    ``pending`` itself and the next boundary is the failure instant;
+    otherwise it is the head release or the failure instant, whichever
+    is first.  An event thus costs one pass over the moving clones
+    (FAIR_SHARE congestion, the interval's rates, the progress update)
+    and, while no release lies ahead, no scan of the others; a failure
+    walks every clone once.  Every float is produced by the same
+    operations in the same order as in the frozen dict-state loop of
+    ``tests/test_sim_faulted_identity.py``, which pins it with ``==``.
     """
     analytic = site.t_site()
-    states = _clone_states(site, faults)
+    states = _clone_states(site, faults, base)
     slowdown = faults.slowdown if faults.slowdown is not None else 1.0
     if slowdown <= 0.0:
         raise SimulationError(f"site {site.index}: slowdown factor must be > 0")
     # The site's own speed composes with the fault slowdown: a capacity-2
     # site degraded to half speed progresses at factor 1.0.  Multiplying
     # by the default capacity 1.0 is bit-exact.
-    capacity = site.capacity * slowdown
+    budget = site.capacity
+    capacity = budget * slowdown
     d = site.d
+    dims = range(d)
     fail_at = faults.fail_at
     restart_delay = faults.restart_delay
-    serial_rank = None
-    if policy is SharingPolicy.SERIAL:
-        serial_rank = {
-            s["label"]: i
-            for i, s in enumerate(
-                sorted(states, key=lambda s: (-s["scheduled_t_seq"], s["label"]))
-            )
-        }
     traces: list[CloneTrace] = []
     intervals: list[RateInterval] = []
     work_rerun = 0.0
     now = 0.0
     # Zero-work clones complete the instant they are released.
     for s in states:
-        if s["t_seq"] <= 0.0:
-            s["done"] = True
+        if s.t_seq <= 0.0:
+            s.done = True
             traces.append(
                 CloneTrace(
-                    operator=s["operator"],
-                    clone_index=s["clone_index"],
-                    start=s["release"],
-                    finish=s["release"],
+                    operator=s.operator,
+                    clone_index=s.clone_index,
+                    start=s.release,
+                    finish=s.release,
                     nominal_t_seq=0.0,
                 )
             )
+    # The unfinished clones, in the order the policy takes them: SERIAL's
+    # rank order (a stable sort, so clones sharing a rank keep placement
+    # order), placement order otherwise.
+    pending = [s for s in states if not s.done]
+    if policy is SharingPolicy.SERIAL:
+        rank = {
+            s.label: i
+            for i, s in enumerate(
+                sorted(states, key=lambda s: (-s.scheduled_t_seq, s.label))
+            )
+        }
+        pending.sort(key=lambda s: rank[s.label])
+    releases = sorted(s.release for s in pending if s.release > now)
+    ahead = 0  # releases[ahead:] lie in the future
     guard = 0
     limit = 10_000 + 10 * len(states)
     while True:
@@ -344,17 +447,16 @@ def _run_site(
             raise SimulationError(
                 f"site {site.index}: simulation failed to converge"
             )
-        pending = [s for s in states if not s["done"]]
         if not pending:
             break
         if fail_at is not None and now >= fail_at:
             # The failure fires: in-flight progress is lost and re-run.
-            for s in pending:
-                if s["start"] is not None:
-                    lost = s["t_seq"] - s["remaining"]
+            for s in states:
+                if not s.done and s.start is not None:
+                    lost = s.t_seq - s.remaining
                     if lost > 0.0:
                         work_rerun += lost
-                        s["remaining"] = s["t_seq"]
+                        s.remaining = s.t_seq
             recovered = now + restart_delay
             if restart_delay > 0.0:
                 intervals.append(
@@ -369,23 +471,38 @@ def _run_site(
             now = recovered
             fail_at = None
             continue
-        boundaries = [s["release"] for s in pending if s["release"] > now]
-        if fail_at is not None and fail_at > now:
-            boundaries.append(fail_at)
-        active = [s for s in pending if s["release"] <= now]
+        while ahead < len(releases) and releases[ahead] <= now:
+            ahead += 1
+        if ahead < len(releases):
+            boundary = releases[ahead]
+            if fail_at is not None and fail_at < boundary:
+                boundary = fail_at
+            active = [s for s in pending if s.release <= now]
+        else:
+            boundary = fail_at
+            active = pending
         if not active:
-            if not boundaries:
+            if boundary is None:
                 raise SimulationError(
                     f"site {site.index}: no runnable clone and no future event"
                 )
-            now = min(boundaries)
+            now = boundary
             continue
-        moving = _allocate_rates(
-            policy, active, capacity, d, serial_rank, preemptability
+        moving, speed, speeds = _allocate_rates(
+            policy, active, capacity, d, preemptability
         )
-        dt = min((s["remaining"] / v for s, v in moving), default=math.inf)
-        if boundaries:
-            dt = min(dt, min(boundaries) - now)
+        if speeds is None:
+            # One common speed: correctly rounded division by a positive
+            # constant is monotone, so this is the smallest remaining / speed.
+            dt = min([s.remaining for s in moving]) / speed if moving else math.inf
+            pace = repeat(speed)
+        else:
+            dt = min(
+                [s.remaining / v for s, v in zip(moving, speeds)], default=math.inf
+            )
+            pace = speeds
+        if boundary is not None:
+            dt = min(dt, boundary - now)
         # dt == 0 is a clone whose remaining work is already (numerically)
         # nothing: it completes below without recording an interval.
         if not math.isfinite(dt) or dt < 0.0:
@@ -395,42 +512,47 @@ def _run_site(
         end = now + dt
         if moving and dt > 0.0:
             agg = [0.0] * d
-            for s, v in moving:
-                for i, r in enumerate(s["rates"]):
-                    agg[i] += r * v
+            for s, v in zip(moving, pace):
+                row = s.rates
+                for i in dims:
+                    agg[i] += row[i] * v
             rates = tuple(agg)
             # Budget is the site's own capacity (a fault slowdown wastes
             # part of it; it does not shrink what feasibility allows).
-            _check_feasible(rates, site.index, site.capacity)
-            if site.capacity != 1.0:
+            _check_feasible(rates, site.index, budget)
+            if budget != 1.0:
                 # Record utilization (fraction of this site's budget) so
                 # the RateInterval <= 1 audit stays meaningful on fast sites.
-                rates = tuple(r / site.capacity for r in rates)
+                rates = tuple([r / budget for r in rates])
             intervals.append(
                 RateInterval(
                     start=now,
                     end=end,
-                    active=tuple(s["label"] for s, _ in moving),
-                    throttle=min(v for _, v in moving),
+                    active=tuple([s.label for s in moving]),
+                    throttle=speed if speeds is None else min(speeds),
                     resource_rates=rates,
                 )
             )
-        for s, v in moving:
-            if s["start"] is None:
-                s["start"] = now
-            s["remaining"] -= v * dt
-            if s["remaining"] <= _EPS * max(1.0, s["t_seq"]):
-                s["done"] = True
-                s["remaining"] = 0.0
+        completed = False
+        for s, v in zip(moving, pace):
+            if s.start is None:
+                s.start = now
+            s.remaining -= v * dt
+            if s.remaining <= s.tol:
+                s.done = True
+                s.remaining = 0.0
+                completed = True
                 traces.append(
                     CloneTrace(
-                        operator=s["operator"],
-                        clone_index=s["clone_index"],
-                        start=s["start"],
+                        operator=s.operator,
+                        clone_index=s.clone_index,
+                        start=s.start,
                         finish=end,
-                        nominal_t_seq=s["t_seq"],
+                        nominal_t_seq=s.t_seq,
                     )
                 )
+        if completed:
+            pending = [s for s in pending if not s.done]
         now = end
     completion = max((t.finish for t in traces), default=now)
     return (
@@ -454,19 +576,24 @@ def _attribute_site_faults(
     kinds enabled (skew -> slowdown -> stragglers -> failure) and
     charges each kind the site-completion-time delta it causes.  Only
     rungs whose kind is present run, so a skew-only site costs two
-    simulations, not five.  Skew deltas can be negative (overestimated
-    work finishes early); the remaining deltas are non-negative.
+    simulations, not five; the rungs share one :func:`_site_base`.
+    Skew deltas can be negative (overestimated work finishes early); the
+    remaining deltas are non-negative.
     """
     report = FaultReport()
-    sim, _ = _run_site(site, policy, faults.restricted())
+    rung = faults.restricted()
+    base = _site_base(site, rung)
+    sim, _ = _run_site(site, policy, rung, base=base)
     prev = sim.completion_time
     if faults.has_skew:
-        sim, _ = _run_site(site, policy, faults.restricted(skew=True))
+        rung = faults.restricted(skew=True)
+        base = _site_base(site, rung)
+        sim, _ = _run_site(site, policy, rung, base=base)
         report.time_lost_skew = sim.completion_time - prev
         prev = sim.completion_time
     if faults.slowdown is not None:
         sim, _ = _run_site(
-            site, policy, faults.restricted(skew=True, slowdown=True)
+            site, policy, faults.restricted(skew=True, slowdown=True), base=base
         )
         report.time_lost_slowdown = sim.completion_time - prev
         prev = sim.completion_time
@@ -475,11 +602,12 @@ def _attribute_site_faults(
             site,
             policy,
             faults.restricted(skew=True, slowdown=True, straggler=True),
+            base=base,
         )
         report.time_lost_straggler = sim.completion_time - prev
         prev = sim.completion_time
     if faults.fail_at is not None:
-        sim, rerun = _run_site(site, policy, faults)
+        sim, rerun = _run_site(site, policy, faults, base=base)
         report.time_lost_failure = sim.completion_time - prev
         report.work_rerun = rerun
     return sim, report

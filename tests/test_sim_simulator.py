@@ -211,11 +211,11 @@ class TestZeroLengthIntervals:
         site = site_with([[4.0, 2.0], [1.0, 1.0]])
         original = sim_mod._clone_states
 
-        def with_exhausted_clone(s, faults):
-            states = original(s, faults)
+        def with_exhausted_clone(*args):
+            states = original(*args)
             # One clone arrives with its work already (numerically) done:
             # the first fair-share step then has dt == 0.
-            states[1]["remaining"] = 0.0
+            states[1].remaining = 0.0
             return states
 
         monkeypatch.setattr(sim_mod, "_clone_states", with_exhausted_clone)
@@ -233,11 +233,11 @@ class TestZeroLengthIntervals:
         site = site_with([[4.0, 2.0], [1.0, 1.0]])
         original = sim_mod._clone_states
 
-        def with_exhausted_clone(s, faults):
-            states = original(s, faults)
+        def with_exhausted_clone(*args):
+            states = original(*args)
             # One clone arrives with its work already (numerically) done:
             # the step that runs it has dt == 0.
-            states[1]["remaining"] = 0.0
+            states[1].remaining = 0.0
             return states
 
         monkeypatch.setattr(sim_mod, "_clone_states", with_exhausted_clone)
